@@ -15,7 +15,6 @@ from .kernels import (
     gram_matrix,
     kernel_eval,
     mean_embedding,
-    stein_base_derivatives,
 )
 from .quadrature import (
     DEFAULT_NUGGET,

@@ -25,7 +25,6 @@ __all__ = [
     "mean_embedding",
     "embedding_vector",
     "double_integral",
-    "stein_base_derivatives",
 ]
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -167,23 +166,55 @@ class SteinKernel:
         return float(self.gram(x[None, :], y[None, :])[0, 0])
 
     def gram(self, X, Y=None) -> np.ndarray:
+        """Pairwise kernel matrix, shape (n, m), from BLAS products.
+
+        Each coordinate sum is expanded into row sums plus one matrix
+        product, so no (n, m, d) temporary is built: the squared distances
+        sum_j (x_j - y_j)^2 / ell_j^2 (base kernel) and / ell_j^4 (mixed
+        term) come from row norms and X Y^T, clamped at 0 against
+        round-off; the cross term sum_j 2 (x_j - y_j)(u_j(x) - u_j(y))
+        / ell_j^2 from <x, u(x)>, <y, u(y)>, X U_Y^T and U_X Y^T.  gram(X)
+        is symmetrised, so it is exactly symmetric.
+        """
         X = _as_batch(X, self.d)
         UX = self._score_batch(X)
-        if Y is None:
+        same = Y is None
+        if same:
             Y, UY = X, UX
         else:
             Y = _as_batch(Y, self.d)
             UY = self._score_batch(Y)
-        ell2 = self.base.lengthscales ** 2
-        diff = X[:, None, :] - Y[None, :, :]
-        kb = np.exp(-np.sum(diff * diff / ell2, axis=-1))
-        # sum_j of: mixed second derivative coefficient, first-derivative
-        # cross terms, and the score outer product.
-        mixed = np.sum((2.0 * ell2 - 4.0 * diff * diff) / ell2 ** 2, axis=-1)
-        cross = np.sum((2.0 * diff / ell2) * (UX[:, None, :] - UY[None, :, :]),
-                       axis=-1)
-        outer = UX @ UY.T
-        return 1.0 + kb * (mixed + cross + outer)
+        ell = self.base.lengthscales
+        ell2 = ell * ell
+        XS, YS = X / ell2, Y / ell2
+        # mixed second derivative coefficient:
+        # sum_j (2 ell_j^2 - 4 (x_j - y_j)^2) / ell_j^4
+        inner = _sq_dist(XS, YS)
+        inner *= -4.0
+        inner += np.sum(2.0 / ell2)
+        # first-derivative cross terms:
+        # sum_j 2 (x_j - y_j)(u_j(x) - u_j(y)) / ell_j^2
+        inner += 2.0 * np.sum(XS * UX, axis=1)[:, None]
+        inner += 2.0 * np.sum(YS * UY, axis=1)[None, :]
+        inner -= (2.0 * XS) @ UY.T
+        inner -= (2.0 * UX) @ YS.T
+        # score outer product
+        inner += UX @ UY.T
+        K = np.exp(-_sq_dist(X / ell, Y / ell))
+        K *= inner
+        K += 1.0
+        if same:
+            K += K.T  # numpy buffers the overlapping K.T: exactly symmetric
+            K *= 0.5
+        return K
+
+
+def _sq_dist(A, B) -> np.ndarray:
+    """sum_j (a_j - b_j)^2 for every pair of rows, clamped at 0."""
+    D = (-2.0 * A) @ B.T
+    D += np.sum(A * A, axis=1)[:, None]
+    D += np.sum(B * B, axis=1)[None, :]
+    return np.maximum(D, 0.0, out=D)
 
 
 KernelHandle = GaussianKernel | SteinKernel
@@ -244,29 +275,3 @@ def double_integral(kernel: KernelHandle, measure: GaussianMeasure | None) -> fl
     ell = kernel.lengthscales
     var = 2.0 * measure.std ** 2 + 0.5 * ell ** 2
     return float(np.prod(_SQRT_PI * ell / np.sqrt(2.0 * np.pi * var)))
-
-
-def stein_base_derivatives(base: GaussianKernel, theta, phi):
-    """First and mixed second derivatives of the Gaussian base kernel.
-
-    Returns
-    -------
-    kb : float
-        Base kernel value.
-    d_theta : ndarray, shape (d,)
-        dk_b/dtheta_j = -(2/ell_j^2)(theta_j - phi_j) k_b.
-    d_phi : ndarray, shape (d,)
-        dk_b/dphi_j = +(2/ell_j^2)(theta_j - phi_j) k_b.
-    mixed : ndarray, shape (d,)
-        d2k_b/dtheta_j dphi_j = ((2 ell_j^2 - 4 (theta_j - phi_j)^2)
-                                 / ell_j^4) k_b.
-    """
-    theta = _as_vector(theta, base.d, "theta")
-    phi = _as_vector(phi, base.d, "phi")
-    ell2 = base.lengthscales ** 2
-    diff = theta - phi
-    kb = float(np.exp(-np.sum(diff * diff / ell2)))
-    d_theta = -(2.0 / ell2) * diff * kb
-    d_phi = (2.0 / ell2) * diff * kb
-    mixed = (2.0 * ell2 - 4.0 * diff * diff) / ell2 ** 2 * kb
-    return kb, d_theta, d_phi, mixed

@@ -7,8 +7,8 @@ The oscillator is x'' + c x' + k x = 0 with unit mass, initial position
 and velocity as the first two parameters, solved in closed form per
 damping regime.  Its Bayesian inverse problem has independent lognormal
 priors and Gaussian observation noise; the posterior score needed by the
-Stein kernel combines the analytic prior score with a central
-finite-difference derivative of the trajectory.
+Stein kernel combines the analytic prior score with the closed-form
+derivative of the trajectory.
 """
 
 from __future__ import annotations
@@ -167,39 +167,89 @@ def ode_solution(theta, times) -> np.ndarray:
         raise ValueError("theta must have four components")
     t = np.asarray(times, dtype=float)
     scalar_t = t.ndim == 0
-    t = np.atleast_1d(t)[None, :]  # (1, k)
+    out = _trajectory(th, np.atleast_1d(t))
+    if single_theta:
+        out = out[0]
+        return out[0] if scalar_t else out
+    return out[:, 0] if scalar_t else out
 
+
+# below this |lam| t^2 the difference (t C - S) / (2 lam) cancels, so dS/dlam
+# is summed from its series; on either side the error stays below ~1e-12
+_SERIES_LAM_T2 = 1e-3
+
+
+def _trajectory(th, times, jacobian=False):
+    """Oscillator position, regime-resolved per row of th.
+
+    th has shape (m, 4) and times shape (k,); returns x, shape (m, k), or
+    with jacobian=True the pair (x, J) where J[i, l, :] is
+    d x(times[l]) / d(x0, v0, k, c) at th[i], shape (m, k, 4).  x is the
+    same either way.
+
+    Writing lam = c^2/4 - k and w = v0 + c x0 / 2, every regime is
+    x = e^{-ct/2} (x0 C + w S) with C = cos(omega t), cosh(sqrt(lam) t)
+    or 1 and S = sin(omega t)/omega, sinh(sqrt(lam) t)/sqrt(lam) or t
+    (under-, over- and critically damped); dC/dlam = t S / 2 and
+    dS/dlam = (t C - S) / (2 lam), whose lam -> 0 limit t^3/6 is reached
+    through its series where |lam| t^2 is small.
+    """
+    t = times[None, :]  # (1, k)
     x0 = th[:, 0:1]
     v0 = th[:, 1:2]
     stiff = th[:, 2:3]
     damp = th[:, 3:4]
     disc = damp * damp - 4.0 * stiff
+    w = v0 + 0.5 * damp * x0
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.exp(-0.5 * damp * t)
+
         # underdamped: oscillation at omega = sqrt(4k - c^2) / 2
         omega = np.sqrt(np.maximum(-disc, 0.0)) / 2.0
         omega_safe = np.where(omega > 0, omega, 1.0)
-        b_u = (v0 + 0.5 * damp * x0) / omega_safe
-        x_under = np.exp(-0.5 * damp * t) * (
-            x0 * np.cos(omega_safe * t) + b_u * np.sin(omega_safe * t))
+        cos_u = np.cos(omega_safe * t)
+        sin_u = np.sin(omega_safe * t)
+        b_u = w / omega_safe
+        x_under = decay * (x0 * cos_u + b_u * sin_u)
 
         # overdamped: two real decay rates
         s = np.sqrt(np.maximum(disc, 0.0))
         s_safe = np.where(s > 0, s, 1.0)
         r1 = 0.5 * (-damp + s_safe)
         r2 = 0.5 * (-damp - s_safe)
+        e1 = np.exp(r1 * t)
+        e2 = np.exp(r2 * t)
         a_o = (v0 - r2 * x0) / s_safe
-        x_over = a_o * np.exp(r1 * t) + (x0 - a_o) * np.exp(r2 * t)
+        x_over = a_o * e1 + (x0 - a_o) * e2
 
         # critically damped: repeated root
-        r = -0.5 * damp
-        x_crit = (x0 + (v0 - r * x0) * t) * np.exp(r * t)
+        x_crit = (x0 + w * t) * decay
 
-    out = np.where(disc < 0, x_under, np.where(disc > 0, x_over, x_crit))
-    if single_theta:
-        out = out[0]
-        return out[0] if scalar_t else out
-    return out[:, 0] if scalar_t else out
+    def regime(under, over, crit):
+        return np.where(disc < 0, under, np.where(disc > 0, over, crit))
+
+    x = regime(x_under, x_over, x_crit)
+    if not jacobian:
+        return x
+
+    # e^{-ct/2} C, e^{-ct/2} S and e^{-ct/2} dS/dlam
+    c_t = regime(decay * cos_u, 0.5 * (e1 + e2), decay)
+    s_t = regime(decay * sin_u / omega_safe,
+                 -e1 * np.expm1(-s_safe * t) / s_safe, decay * t)
+    lam = 0.25 * disc
+    lt2 = lam * t * t
+    series = decay * t ** 3 / 6.0 * (1.0 + lt2 / 10.0 + lt2 * lt2 / 280.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ds_t = np.where(np.abs(lt2) < _SERIES_LAM_T2, series,
+                        (t * c_t - s_t) / (2.0 * lam))
+    dx_dlam = 0.5 * x0 * t * s_t + w * ds_t
+    jac = np.stack([c_t + 0.5 * damp * s_t,
+                    s_t,
+                    -dx_dlam,
+                    -0.5 * t * x + 0.5 * x0 * s_t + 0.5 * damp * dx_dlam],
+                   axis=-1)
+    return x, jac
 
 
 def generate_ode_data(problem: ODEProblem, rng: np.random.Generator) -> np.ndarray:
@@ -262,16 +312,13 @@ def ode_log_posterior(problem: ODEProblem, theta) -> np.ndarray:
     return out[0] if single else out
 
 
-_FD_REL_STEP = 1e-6
-
-
 def ode_score(problem: ODEProblem, theta) -> np.ndarray:
     """Gradient of the log-posterior, batched (m, 4) -> (m, 4).
 
     The prior part is analytic; the likelihood part chains the Gaussian
-    residuals through a central finite-difference derivative of the
-    trajectory (relative step 1e-6 per coordinate).  Raises on any
-    parameter at or below zero, where the posterior is not defined.
+    residuals through the closed-form Jacobian of the trajectory in each
+    damping regime.  Raises on any parameter at or below zero, where the
+    posterior is not defined.
     """
     th, single = _theta_batch(theta)
     if np.any(th <= 0):
@@ -284,16 +331,8 @@ def ode_score(problem: ODEProblem, theta) -> np.ndarray:
     y = problem.observations
     if y.size > 0:
         var = problem.noise_std ** 2
-        resid = y - ode_solution(th, problem.times)  # (m, k)
-        for j in range(4):
-            h = _FD_REL_STEP * th[:, j]
-            hi = th.copy()
-            lo = th.copy()
-            hi[:, j] += h
-            lo[:, j] -= h
-            dx = (ode_solution(hi, problem.times)
-                  - ode_solution(lo, problem.times)) / (2.0 * h[:, None])
-            grad[:, j] += np.sum(resid * dx, axis=1) / var
+        traj, jac = _trajectory(th, problem.times, jacobian=True)
+        grad += np.einsum("mk,mkj->mj", y - traj, jac) / var
     return grad[0] if single else grad
 
 

@@ -12,8 +12,8 @@ from kquad import (
     gram_matrix,
     kernel_eval,
     mean_embedding,
-    stein_base_derivatives,
 )
+from kquad.problems import ODEProblem, ode_score, with_observations
 
 # Oracle grid shared with the acceptance suite: stds x lengthscales x eval points.
 ORACLE_SIGMAS = (0.5, 1.0, 2.0)
@@ -197,9 +197,98 @@ def std_normal_score(X):
     return -np.asarray(X, dtype=float)
 
 
+def stein_base_derivatives(base, theta, phi):
+    """Gaussian base kernel value with its first and mixed second derivatives.
+
+    kb, dk_b/dtheta_j = -(2/ell_j^2)(theta_j - phi_j) k_b,
+    dk_b/dphi_j = +(2/ell_j^2)(theta_j - phi_j) k_b and
+    d2k_b/dtheta_j dphi_j
+        = ((2 ell_j^2 - 4 (theta_j - phi_j)^2) / ell_j^4) k_b.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    ell2 = base.lengthscales ** 2
+    diff = theta - phi
+    kb = float(np.exp(-np.sum(diff * diff / ell2)))
+    d_theta = -(2.0 / ell2) * diff * kb
+    d_phi = (2.0 / ell2) * diff * kb
+    mixed = (2.0 * ell2 - 4.0 * diff * diff) / ell2 ** 2 * kb
+    return kb, d_theta, d_phi, mixed
+
+
+def broadcast_stein_gram(kernel, X, Y=None):
+    """Stein Gram from explicit (n, m, d) coordinate differences."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    UX = np.asarray(kernel.score(X), dtype=float)
+    if Y is None:
+        Y, UY = X, UX
+    else:
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        UY = np.asarray(kernel.score(Y), dtype=float)
+    ell2 = kernel.base.lengthscales ** 2
+    diff = X[:, None, :] - Y[None, :, :]
+    kb = np.exp(-np.sum(diff * diff / ell2, axis=-1))
+    mixed = np.sum((2.0 * ell2 - 4.0 * diff * diff) / ell2 ** 2, axis=-1)
+    cross = np.sum((2.0 * diff / ell2) * (UX[:, None, :] - UY[None, :, :]),
+                   axis=-1)
+    return 1.0 + kb * (mixed + cross + UX @ UY.T)
+
+
+def oscillator_stein_kernel():
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    return SteinKernel(GaussianKernel(np.full(4, 8.0)),
+                       score=lambda X: ode_score(problem, X))
+
+
+def assert_gram_matches_oracle(K, want):
+    assert K.shape == want.shape
+    assert np.max(np.abs(K - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stein_gram_matches_broadcast_oracle_on_oscillator_states():
+    # box-uniform states cover both damping regimes and entries up to ~4e7
+    kern = oscillator_stein_kernel()
+    X = np.random.default_rng(7).uniform(0.01, 10.0, size=(300, 4))
+    disc = X[:, 3] ** 2 - 4.0 * X[:, 2]
+    assert np.any(disc < 0) and np.any(disc > 0)
+    want = broadcast_stein_gram(kern, X)
+    assert np.max(np.abs(want)) > 1e7
+    assert_gram_matches_oracle(kern.gram(X), want)
+
+
+def test_stein_gram_matches_broadcast_oracle_anisotropic():
+    kern = SteinKernel(GaussianKernel([0.3, 1.0, 4.0]), score=std_normal_score)
+    X = np.random.default_rng(8).normal(size=(120, 3))
+    assert_gram_matches_oracle(kern.gram(X), broadcast_stein_gram(kern, X))
+
+
+def test_stein_gram_rectangular_matches_stacked_block():
+    kern = oscillator_stein_kernel()
+    rng = np.random.default_rng(9)
+    X = rng.uniform(0.01, 10.0, size=(40, 4))
+    Y = rng.uniform(0.01, 10.0, size=(25, 4))
+    K = kern.gram(X, Y)
+    assert_gram_matches_oracle(K, kern.gram(np.vstack([X, Y]))[:40, 40:])
+    assert_gram_matches_oracle(K, broadcast_stein_gram(kern, X, Y))
+
+
+def test_stein_gram_exact_symmetry_and_diagonal():
+    for kern, X in (
+        (oscillator_stein_kernel(),
+         np.random.default_rng(10).uniform(0.01, 10.0, size=(60, 4))),
+        (SteinKernel(GaussianKernel([0.3, 1.0, 4.0]), score=std_normal_score),
+         np.random.default_rng(11).normal(size=(60, 3))),
+    ):
+        K = kern.gram(X)
+        assert np.array_equal(K, K.T)
+        U = kern.score(X)
+        want = 1.0 + np.sum(2.0 / kern.base.lengthscales ** 2 + U * U, axis=1)
+        assert np.max(np.abs(np.diag(K) / want - 1.0)) <= 1e-12
+
+
 def test_stein_kernel_frozen_value():
     k = SteinKernel(GaussianKernel([1.0]), score=std_normal_score)
-    # at theta = phi = 0: othe constant plus the mixed-derivative term 2/ell^2
+    # at theta = phi = 0: the constant plus the mixed-derivative term 2/ell^2
     assert kernel_eval(k, [0.0], [0.0]) == pytest.approx(3.0, rel=1e-14)
 
 

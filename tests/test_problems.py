@@ -23,6 +23,7 @@ from kquad import (
     toy_integrand,
     with_observations,
 )
+from kquad.problems import _trajectory
 
 THETA_UNDER = np.array([1.0, 3.75, 2.5, 0.5])
 THETA_OVER = np.array([1.0, 0.5, 0.25, 2.0])
@@ -296,6 +297,106 @@ def test_ode_score_finite_difference_oracle():
         fd[:, j] = (ode_log_posterior(problem, hi)
                     - ode_log_posterior(problem, lo)) / (2 * h)
     assert np.max(np.abs(got - fd) / (1.0 + np.abs(fd))) < 1e-4
+
+
+def finite_difference_score(problem, th):
+    # the score from central differences of the trajectory, relative step
+    # 1e-6 per coordinate
+    s = problem.prior_scale
+    grad = -1.0 / th - np.log(th) / (s * s * th)
+    resid = problem.observations - ode_solution(th, problem.times)
+    for j in range(4):
+        h = 1e-6 * th[:, j]
+        hi, lo = th.copy(), th.copy()
+        hi[:, j] += h
+        lo[:, j] -= h
+        dx = (ode_solution(hi, problem.times)
+              - ode_solution(lo, problem.times)) / (2.0 * h[:, None])
+        grad[:, j] += np.sum(resid * dx, axis=1) / problem.noise_std ** 2
+    return grad
+
+
+def near_critical_states(rng, n, rel):
+    c = rng.uniform(0.5, 4.0, n)
+    return np.column_stack([rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n),
+                            c * c / 4.0 * (1.0 + rel), c])
+
+
+def assert_score_matches_finite_differences(problem, th):
+    # normwise over the batch: the difference quotient itself carries up to
+    # ~1e-6 of error on single rows next to critical damping, where the
+    # overdamped closed form cancels
+    got, fd = ode_score(problem, th), finite_difference_score(problem, th)
+    assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_ode_score_closed_form_matches_finite_differences():
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    th = np.random.default_rng(21).uniform(0.01, 10.0, size=(2000, 4))
+    disc = th[:, 3] ** 2 - 4.0 * th[:, 2]
+    assert np.mean(disc < 0) > 0.2 and np.mean(disc > 0) > 0.2
+    assert_score_matches_finite_differences(problem, th)
+
+
+def test_ode_score_closed_form_near_and_at_critical_damping():
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    rng = np.random.default_rng(22)
+    for rel in (1e-8, -1e-8, 0.0):
+        th = near_critical_states(rng, 200, rel)
+        if rel == 0.0:
+            assert np.all(th[:, 3] ** 2 - 4.0 * th[:, 2] == 0.0)
+        assert_score_matches_finite_differences(problem, th)
+
+
+def test_ode_score_near_critical_high_precision_oracle():
+    # position and its derivatives in 40-digit arithmetic: the closed form
+    # stays accurate where the difference quotient loses digits
+    mpmath = pytest.importorskip("mpmath")
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+
+    def position(x0, v0, k, c, t):
+        lam = c * c / 4 - k
+        if lam == 0:
+            cos_part, sin_part = 1, t
+        elif lam > 0:
+            r = mpmath.sqrt(lam)
+            cos_part, sin_part = mpmath.cosh(r * t), mpmath.sinh(r * t) / r
+        else:
+            r = mpmath.sqrt(-lam)
+            cos_part, sin_part = mpmath.cos(r * t), mpmath.sin(r * t) / r
+        return mpmath.exp(-c * t / 2) * (x0 * cos_part
+                                         + (v0 + c * x0 / 2) * sin_part)
+
+    th = np.vstack([near_critical_states(np.random.default_rng(23), 2, rel)
+                    for rel in (1e-8, -1e-8, 0.0)])
+    got = ode_score(problem, th)
+    with mpmath.workdps(40):
+        var = mpmath.mpf(problem.noise_std) ** 2
+        for row, g in zip(th, got):
+            p = [mpmath.mpf(float(v)) for v in row]
+            want = [-1 / v - mpmath.log(v) / (problem.prior_scale ** 2 * v)
+                    for v in p]
+            for y, t in zip(problem.observations, problem.times):
+                t = mpmath.mpf(float(t))
+                resid = mpmath.mpf(float(y)) - position(*p, t)
+                for j in range(4):
+                    dx = mpmath.diff(lambda v: position(
+                        *(p[:j] + [v] + p[j + 1:]), t), p[j])
+                    want[j] += resid * dx / var
+            want = np.array([float(v) for v in want])
+            assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_trajectory_with_jacobian_returns_ode_solution_bitwise():
+    rng = np.random.default_rng(24)
+    th = np.vstack([rng.uniform(0.01, 10.0, size=(500, 4)),
+                    near_critical_states(rng, 50, 0.0),
+                    near_critical_states(rng, 50, 1e-8)])
+    times = ODEProblem().times
+    x, jac = _trajectory(th, times, jacobian=True)
+    assert jac.shape == (600, times.size, 4)
+    assert np.array_equal(x, ode_solution(th, times))
+    assert np.array_equal(_trajectory(th, times), x)
 
 
 def test_ode_score_boundary_raises():
