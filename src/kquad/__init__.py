@@ -4,96 +4,69 @@ The estimator interpolates the integrand in a reproducing kernel space on
 a small set of nodes and integrates the interpolant in closed form.  Its
 accuracy depends strongly on where the nodes are sampled from; this
 package tempers the sampling distribution away from the target and uses a
-function-evaluation-free error statistic to decide how far."""
+function-evaluation-free error statistic to decide how far.
 
-from .kernels import (
-    GaussianKernel,
-    GaussianMeasure,
-    SteinKernel,
-    double_integral,
-    embedding_vector,
-    gram_matrix,
-    kernel_eval,
-    mean_embedding,
-)
+The package namespace holds what a user of the estimators needs; every
+other function lives in its submodule (kernels, quadrature, smc,
+controller, problems, harness)."""
+
+from .kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from .quadrature import (
-    DEFAULT_NUGGET,
     DuplicatePointsError,
     GramSingularError,
     NuggetPolicy,
     QuadratureRule,
-    dedupe,
     gaussian_inverse_cdf,
     halton_points,
     kq_estimate,
     kq_fit,
-    mc_estimate,
     sbq_greedy_select,
-    worst_case_error,
 )
 from .smc import (
-    ADAPTIVE_GAUSSIAN,
     ADAPTIVE_LOGNORMAL,
-    RANDOM_WALK,
     BoxUniform,
     DegenerateWeightsError,
-    ParticleSystem,
     ProposalPolicy,
-    TemperedTarget,
-    cess,
-    ess,
-    init_particles,
-    markov_move,
-    next_temperature,
-    resample_multinomial,
-    reweight,
-    smc_step,
 )
 from .controller import (
-    ErrorTrace,
-    EvalCache,
     InsufficientStatesError,
-    KernelFamily,
     RunReport,
-    TraceEntry,
-    crit,
-    crit_kl,
     gaussian_lengthscale_family,
-    kern_param_fit,
-    marginal_likelihood_objective,
-    select_rule_entry,
     smc_kq,
     smc_kq_kl,
-    temperature_error_profile,
-    trend_test,
 )
 from .problems import (
     BachDiagnostic,
-    BenchmarkResult,
     ODEProblem,
     ToyProblem,
     bach_density_truncated,
-    default_toy_lengthscale,
-    gaussian_kernel_eigenvalues,
-    generate_ode_data,
-    ode_log_likelihood,
     ode_log_posterior,
-    ode_log_prior,
     ode_predictive,
     ode_score,
-    ode_solution,
     posterior_benchmark,
     toy_integrand,
     with_observations,
 )
-from .harness import (
-    ConfigError,
-    ResultRow,
-    RunConfig,
-    load_config,
-    rmse_aggregate,
-    run,
-    run_benchmark,
-)
+from .harness import ConfigError, RunConfig, rmse_aggregate
+
+__all__ = [
+    # kernels and measures
+    "GaussianKernel", "GaussianMeasure", "SteinKernel", "BoxUniform",
+    # quadrature rules and baselines
+    "NuggetPolicy", "QuadratureRule", "kq_fit", "kq_estimate",
+    "sbq_greedy_select", "halton_points", "gaussian_inverse_cdf",
+    # adaptive estimators
+    "ProposalPolicy", "ADAPTIVE_LOGNORMAL", "RunReport", "smc_kq",
+    "smc_kq_kl", "gaussian_lengthscale_family",
+    # problems
+    "ToyProblem", "toy_integrand", "ODEProblem", "with_observations",
+    "ode_log_posterior", "ode_score", "ode_predictive",
+    "posterior_benchmark", "BachDiagnostic", "bach_density_truncated",
+    # experiments
+    "RunConfig", "rmse_aggregate",
+    # failures
+    "GramSingularError", "DegenerateWeightsError", "InsufficientStatesError",
+    "DuplicatePointsError", "ConfigError",
+]
 
 __version__ = "0.1.0"

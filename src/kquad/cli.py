@@ -8,7 +8,8 @@ kquad benchmark <config.json> [--seed S] [--out DIR]
     Generate the inverse-problem dataset and a long-chain reference value,
     written to benchmark.json for later 'run' invocations.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.  The
+Exit codes: 0 success, 2 configuration error, 3 runtime failure (one
+line on stderr: "runtime error: <type>: <message>").  The
 default output directory comes from --out, then the config's
 output_path, then the KQUAD_OUT_DIR environment variable.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 from dataclasses import replace
 
 from .harness import ConfigError, load_config, run, run_benchmark
@@ -86,8 +86,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception:
-        traceback.print_exc()
+    except Exception as exc:
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"wrote {out}")
     return EXIT_OK

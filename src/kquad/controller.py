@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .kernels import (
-    KernelHandle,
-    GaussianKernel,
-    GaussianMeasure,
-    double_integral,
-    embedding_vector,
-    gram_matrix,
-)
+from .kernels import KernelHandle, GaussianKernel, GaussianMeasure
 from .quadrature import (
     DEFAULT_NUGGET,
     GramSingularError,
@@ -90,7 +83,6 @@ class ErrorTrace:
     """Error history along the ladder, ordered by strictly increasing t."""
 
     entries: list[TraceEntry] = field(default_factory=list)
-    window: int = TREND_WINDOW
 
     def append(self, entry: TraceEntry) -> None:
         if self.entries and entry.t <= self.entries[-1].t:
@@ -170,6 +162,15 @@ class RunReport:
     final_nugget: float = 0.0
 
 
+def _unique_states(states: np.ndarray, n: int) -> np.ndarray:
+    """Unique rows of states; InsufficientStatesError if fewer than n."""
+    unique = dedupe(states)
+    if unique.shape[0] < n:
+        raise InsufficientStatesError(
+            f"need {n} unique states, have {unique.shape[0]}")
+    return unique
+
+
 def _bootstrap_error(kernel: KernelHandle, measure: GaussianMeasure | None,
                      states: np.ndarray, n: int, m_boot: int,
                      rng: np.random.Generator,
@@ -184,15 +185,11 @@ def _bootstrap_error(kernel: KernelHandle, measure: GaussianMeasure | None,
         raise ValueError("subset size must be >= 1")
     if m_boot < 1:
         raise ValueError("m_boot must be >= 1")
-    unique = dedupe(states)
+    unique = _unique_states(states, n)
     m = unique.shape[0]
-    if m < n:
-        raise InsufficientStatesError(
-            f"need {n} unique states, particle system has {m}"
-        )
-    K = gram_matrix(kernel, unique)
-    z = embedding_vector(kernel, measure, unique)
-    e0_sq = double_integral(kernel, measure)
+    K = kernel.gram(unique)
+    z = kernel.embedding(measure, unique)
+    e0_sq = kernel.double_integral(measure)
     total, max_nugget = 0.0, 0.0
     for _ in range(m_boot):
         idx = rng.choice(m, size=n, replace=False)
@@ -220,21 +217,21 @@ def crit(kernel: KernelHandle, measure: GaussianMeasure | None, states,
     return float(np.sqrt(mean_sq))
 
 
+def _slope(ts: np.ndarray, errs: np.ndarray) -> float:
+    """Least-squares slope of errs against ts."""
+    tc = ts - ts.mean()
+    return float(tc @ (errs - errs.mean())) / float(tc @ tc)
+
+
 def trend_test(trace: ErrorTrace) -> bool:
     """True when the recent error trend says to stop.
 
-    Needs at least `window` entries; then fits a least-squares line of
-    the monitored error against temperature over the most recent window
-    and reports termination on a strictly positive slope.
+    Needs at least TREND_WINDOW entries; then fits a least-squares line
+    of the monitored error against temperature over the most recent
+    window and reports termination on a strictly positive slope.
     """
-    k = trace.window
-    if len(trace) < k:
-        return False
-    ts = trace.ts[-k:]
-    errs = trace.errors[-k:]
-    tc = ts - ts.mean()
-    slope = float(tc @ (errs - errs.mean())) / float(tc @ tc)
-    return slope > 0.0
+    k = TREND_WINDOW
+    return len(trace) >= k and _slope(trace.ts[-k:], trace.errors[-k:]) > 0.0
 
 
 def select_rule_entry(trace: ErrorTrace) -> int:
@@ -246,12 +243,11 @@ def select_rule_entry(trace: ErrorTrace) -> int:
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    for i in range(len(trace)):
-        prefix = ErrorTrace(entries=trace.entries[:i + 1], window=trace.window)
-        if trend_test(prefix):
-            lo = max(0, i - trace.window + 1)
-            window_errors = trace.errors[lo:i + 1]
-            return lo + int(np.argmin(window_errors))
+    ts, errs = trace.ts, trace.errors
+    for lo in range(len(trace) - TREND_WINDOW + 1):
+        hi = lo + TREND_WINDOW
+        if _slope(ts[lo:hi], errs[lo:hi]) > 0.0:
+            return lo + int(np.argmin(errs[lo:hi]))
     return len(trace) - 1
 
 
@@ -287,7 +283,7 @@ def marginal_likelihood_objective(f_values, points, kernel: KernelHandle,
     """f'(K + nugget I)^-1 f + log det(K + nugget I) via Cholesky."""
     f = np.asarray(f_values, dtype=float)
     X = np.asarray(points, dtype=float)
-    K = gram_matrix(kernel, X)
+    K = kernel.gram(X)
     L, _ = chol_factor_with_nugget(K, policy)
     half = scipy.linalg.solve_triangular(L, f, lower=True, check_finite=False)
     return float(half @ half) + 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -391,6 +387,25 @@ def kern_param_fit(f_values, points, family: KernelFamily,
     return np.exp(log_p)
 
 
+def _kl_error(kernel: KernelHandle, measure: GaussianMeasure | None,
+              states: np.ndarray, f_vals: np.ndarray, n: int, m_boot: int,
+              rng: np.random.Generator,
+              policy: NuggetPolicy) -> tuple[float, float]:
+    """Bootstrap error times sqrt(f' K^-1 f) on the first n rows of states.
+
+    f_vals are the integrand values at those rows.  Returns (statistic,
+    max nugget of the bootstrap); crit_kl and smc_kq_kl both use it.
+    """
+    mean_sq, max_nugget = _bootstrap_error(kernel, measure, states, n, m_boot,
+                                           rng, policy)
+    K = kernel.gram(states[:n])
+    L, _ = chol_factor_with_nugget(K, policy)
+    half = scipy.linalg.solve_triangular(L, f_vals, lower=True,
+                                         check_finite=False)
+    norm_sq = float(half @ half)
+    return float(np.sqrt(mean_sq) * np.sqrt(max(norm_sq, 0.0))), max_nugget
+
+
 def crit_kl(cache: EvalCache, f: Callable[[np.ndarray], np.ndarray],
             kernel: KernelHandle, measure: GaussianMeasure | None, states,
             n: int, m_boot: int, rng: np.random.Generator,
@@ -405,37 +420,35 @@ def crit_kl(cache: EvalCache, f: Callable[[np.ndarray], np.ndarray],
     states = np.asarray(states, dtype=float)
     if states.shape[0] < n:
         raise InsufficientStatesError(f"need at least {n} states")
-    subset = states[:n]
-    f_vals = cache.evaluate(f, subset)
-    mean_sq, _ = _bootstrap_error(kernel, measure, states, n, m_boot, rng,
-                                  policy)
-    K = gram_matrix(kernel, subset)
-    L, _ = chol_factor_with_nugget(K, policy)
-    half = scipy.linalg.solve_triangular(L, f_vals, lower=True,
-                                         check_finite=False)
-    norm_sq = float(half @ half)
-    return float(np.sqrt(mean_sq) * np.sqrt(max(norm_sq, 0.0)))
+    f_vals = cache.evaluate(f, states[:n])
+    stat, _ = _kl_error(kernel, measure, states, f_vals, n, m_boot, rng,
+                        policy)
+    return stat
 
 
 def _run_ladder(target: TemperedTarget, reference, rho: float, delta: float,
                 n_particles: int, proposal: ProposalPolicy,
                 rng: np.random.Generator, sweeps: int, max_steps: int,
-                record, terminate_early: bool):
-    """Shared ladder loop: record(system) -> TraceEntry at each temperature.
+                record, terminate_early: bool, ladder=None):
+    """The ladder loop: record(system) -> TraceEntry at each temperature.
 
-    Returns (trace, snapshots); snapshots[i] is the particle system the
-    i-th trace entry was computed from.
+    Temperatures come from next_temperature, or from ladder[1:] when a
+    fixed ladder is given.  Returns (trace, snapshots); snapshots[i] is
+    the particle system the i-th trace entry was computed from.
     """
     system = init_particles(reference, n_particles, rng)
     trace = ErrorTrace()
     snapshots = [system]
     trace.append(record(system))
-    while system.t < 1.0:
+    while system.t < 1.0 and (ladder is None or len(trace) < len(ladder)):
         if terminate_early and trend_test(trace):
             break
         if len(trace) > max_steps:
             raise RuntimeError(f"temperature ladder exceeded {max_steps} steps")
-        t_next = next_temperature(system, target, rho, delta)
+        if ladder is None:
+            t_next = next_temperature(system, target, rho, delta)
+        else:
+            t_next = float(ladder[len(trace)])
         system = smc_step(system, target, t_next, rho, proposal, rng,
                           sweeps=sweeps)
         snapshots.append(system)
@@ -443,16 +456,16 @@ def _run_ladder(target: TemperedTarget, reference, rho: float, delta: float,
     return trace, snapshots
 
 
-def _select_nodes(system: ParticleSystem, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    unique = dedupe(system.states)
-    if unique.shape[0] < n:
-        raise InsufficientStatesError(
-            f"need {n} unique states at the selected temperature, "
-            f"have {unique.shape[0]}"
-        )
-    idx = rng.choice(unique.shape[0], size=n, replace=False)
-    return unique[idx]
+def _error_record(kernel: KernelHandle, measure: GaussianMeasure | None,
+                  n: int, m_boot: int, rng: np.random.Generator,
+                  policy: NuggetPolicy):
+    """record(system) -> TraceEntry of the bootstrap error statistic."""
+    def record(system: ParticleSystem) -> TraceEntry:
+        mean_sq, max_nugget = _bootstrap_error(
+            kernel, measure, system.states, n, m_boot, rng, policy)
+        return TraceEntry(t=system.t, error=float(np.sqrt(mean_sq)),
+                          nugget=max_nugget)
+    return record
 
 
 def smc_kq(f: Callable[[np.ndarray], np.ndarray],
@@ -499,20 +512,14 @@ def smc_kq(f: Callable[[np.ndarray], np.ndarray],
     rng = np.random.default_rng(seed)
     target = TemperedTarget(log_ref=reference.log_density,
                             log_target=log_target, support=support)
-
-    def record(system: ParticleSystem) -> TraceEntry:
-        mean_sq, max_nugget = _bootstrap_error(
-            kernel, measure, system.states, n, m_boot, rng, nugget)
-        return TraceEntry(t=system.t, error=float(np.sqrt(mean_sq)),
-                          nugget=max_nugget)
-
+    record = _error_record(kernel, measure, n, m_boot, rng, nugget)
     trace, snapshots = _run_ladder(target, reference, rho, delta, n_particles,
                                    proposal, rng, sweeps, max_steps, record,
                                    terminate_early)
     # a forced full ladder is the fixed-sampling baseline: use the t=1 rule
     chosen = select_rule_entry(trace) if terminate_early else len(trace) - 1
-    system = snapshots[chosen]
-    nodes = _select_nodes(system, n, rng)
+    unique = _unique_states(snapshots[chosen].states, n)
+    nodes = unique[rng.choice(unique.shape[0], size=n, replace=False)]
     rule = kq_fit(kernel, measure, nodes, nugget)
     estimate = kq_estimate(rule, f(nodes))
     return RunReport(estimate=estimate, t_star=trace.entries[chosen].t,
@@ -552,10 +559,7 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
     state = {"params": None, "since_fit": 0, "entry_params": []}
 
     def record(system: ParticleSystem) -> TraceEntry:
-        unique = dedupe(system.states)
-        if unique.shape[0] < n:
-            raise InsufficientStatesError(
-                f"need {n} unique states, have {unique.shape[0]}")
+        unique = _unique_states(system.states, n)
         idx = rng.choice(unique.shape[0], size=n, replace=False)
         subset = unique[idx]
         f_sub = cache.evaluate(f, subset)
@@ -567,14 +571,9 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
         state["entry_params"].append(state["params"])
         rest = unique[np.setdiff1d(np.arange(unique.shape[0]), idx,
                                    assume_unique=False)]
-        ordered = np.vstack([subset, rest])
-        mean_sq, max_nugget = _bootstrap_error(
-            kernel, measure, ordered, n, m_boot, rng, nugget)
-        K = gram_matrix(kernel, subset)
-        L, _ = chol_factor_with_nugget(K, nugget)
-        half = scipy.linalg.solve_triangular(L, f_sub, lower=True,
-                                             check_finite=False)
-        stat = float(np.sqrt(mean_sq) * np.sqrt(max(float(half @ half), 0.0)))
+        stat, max_nugget = _kl_error(kernel, measure,
+                                     np.vstack([subset, rest]), f_sub, n,
+                                     m_boot, rng, nugget)
         return TraceEntry(t=system.t, error=stat, nugget=max_nugget)
 
     trace, _ = _run_ladder(target, reference, rho, delta, n_particles,
@@ -617,20 +616,7 @@ def temperature_error_profile(log_target: Callable[[np.ndarray], np.ndarray],
     rng = np.random.default_rng(seed)
     target = TemperedTarget(log_ref=reference.log_density,
                             log_target=log_target, support=support)
-    system = init_particles(reference, n_particles, rng)
-    trace = ErrorTrace()
-    snapshots = [system]
-
-    def record(sys_):
-        mean_sq, max_nugget = _bootstrap_error(
-            kernel, measure, sys_.states, n, m_boot, rng, nugget)
-        return TraceEntry(t=sys_.t, error=float(np.sqrt(mean_sq)),
-                          nugget=max_nugget)
-
-    trace.append(record(system))
-    for t_next in ladder[1:]:
-        system = smc_step(system, target, float(t_next), rho, proposal, rng,
-                          sweeps=sweeps)
-        snapshots.append(system)
-        trace.append(record(system))
-    return trace, snapshots
+    record = _error_record(kernel, measure, n, m_boot, rng, nugget)
+    return _run_ladder(target, reference, rho, None, n_particles, proposal,
+                       rng, sweeps, max_steps=len(ladder), record=record,
+                       terminate_early=False, ladder=ladder)

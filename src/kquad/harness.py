@@ -80,6 +80,9 @@ RESULT_COLUMNS = [
 
 _PROPOSALS = (ADAPTIVE_GAUSSIAN, RANDOM_WALK, ADAPTIVE_LOGNORMAL)
 
+# method index (spawn key) of the first iid row of halton-compare
+_HALTON_IID_METHOD = 2 * 8
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the key."""
@@ -340,9 +343,15 @@ def _toy_pieces(params):
     return problem, kernel, measure
 
 
-def _proposal(params):
-    return ProposalPolicy(kind=params["method.proposal"],
-                          rw_scale=float(params["method.rw_scale"]))
+def _ladder_kwargs(p):
+    """smc_kq / smc_kq_kl keyword arguments from the method.* keys."""
+    return dict(n=int(p["method.n"]),
+                n_particles=int(p["method.n_particles"]),
+                rho=float(p["method.rho"]), delta=float(p["method.delta"]),
+                m_boot=int(p["method.m_boot"]),
+                proposal=ProposalPolicy(kind=p["method.proposal"],
+                                        rw_scale=float(p["method.rw_scale"])),
+                sweeps=int(p["method.sweeps"]))
 
 
 def _timed(enabled):
@@ -390,10 +399,7 @@ def _run_toy_smckq(cfg: RunConfig, r: int):
     start = _timed(cfg.record_wall_time)
     report = smc_kq(
         lambda X: toy_integrand(problem, X), measure.log_density, kernel,
-        reference, measure=measure, n=n,
-        n_particles=int(p["method.n_particles"]), rho=float(p["method.rho"]),
-        delta=float(p["method.delta"]), m_boot=int(p["method.m_boot"]),
-        proposal=_proposal(p), sweeps=int(p["method.sweeps"]), seed=seed)
+        reference, measure=measure, seed=seed, **_ladder_kwargs(p))
     ms = _elapsed_ms(start, cfg.record_wall_time)
     rows = [ResultRow(cfg.experiment, r, "smc-kq", n, report.estimate,
                       abs(report.estimate - problem.true_value),
@@ -416,11 +422,9 @@ def _run_toy_smckq_kl(cfg: RunConfig, r: int):
     start = _timed(cfg.record_wall_time)
     report = smc_kq_kl(
         lambda X: toy_integrand(problem, X), measure.log_density, family,
-        reference, measure=measure, n=n,
-        n_particles=int(p["method.n_particles"]), rho=float(p["method.rho"]),
-        delta=float(p["method.delta"]), m_boot=int(p["method.m_boot"]),
-        proposal=_proposal(p), sweeps=int(p["method.sweeps"]),
-        refit_every=int(p["method.refit_every"]), seed=seed)
+        reference, measure=measure,
+        refit_every=int(p["method.refit_every"]), seed=seed,
+        **_ladder_kwargs(p))
     ms = _elapsed_ms(start, cfg.record_wall_time)
     rows = [ResultRow(cfg.experiment, r, "smc-kq-kl",
                       report.n_quadrature_points, report.estimate,
@@ -479,11 +483,8 @@ def _run_ode(cfg: RunConfig, r: int):
         report = smc_kq(
             lambda X: ode_predictive(problem, X),
             lambda X: ode_log_posterior(problem, X), kernel, reference,
-            measure=None, support=(lo, hi), n=n,
-            n_particles=int(p["method.n_particles"]),
-            rho=float(p["method.rho"]), delta=float(p["method.delta"]),
-            m_boot=int(p["method.m_boot"]), proposal=_proposal(p),
-            sweeps=int(p["method.sweeps"]), terminate_early=early, seed=seed)
+            measure=None, support=(lo, hi), terminate_early=early, seed=seed,
+            **_ladder_kwargs(p))
         ms = _elapsed_ms(start, cfg.record_wall_time)
         rows.append(ResultRow(cfg.experiment, r, method, n, report.estimate,
                               abs(report.estimate - truth), report.t_star,
@@ -510,7 +511,8 @@ def _run_halton_compare(cfg: RunConfig, r: int):
                     cfg.experiment, 0, f"kq-halton(sigma={scale:g})", n, est,
                     abs(est - problem.true_value), None, n, rule.nugget_used,
                     0.0, cfg.seed))
-        rows.append(_toy_kq_row(cfg, "kq-iid(sigma=1)", 2 * 8 + ni, r, n, 1.0))
+        rows.append(_toy_kq_row(cfg, "kq-iid(sigma=1)",
+                                _HALTON_IID_METHOD + ni, r, n, 1.0))
     return rows, {}
 
 

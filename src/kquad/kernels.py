@@ -7,6 +7,7 @@ mean embedding ``z(x) = int k(u, x) dPi(u)`` and the double integral
 form.  The Stein kernel is built from a Gaussian base kernel and the score of
 an (unnormalised) target density; by construction its mean embedding is
 identically 1, so quadrature against it needs no normalising constant.
+Each kernel computes its own embeddings (``embedding``, ``double_integral``).
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "GaussianKernel",
-    "GaussianMeasure",
-    "SteinKernel",
-    "kernel_eval",
-    "gram_matrix",
-    "mean_embedding",
-    "embedding_vector",
-    "double_integral",
-]
+__all__ = ["GaussianKernel", "GaussianMeasure", "SteinKernel"]
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -85,6 +77,35 @@ class GaussianKernel:
         Y = X if Y is None else _as_batch(Y, self.d)
         diff = (X[:, None, :] - Y[None, :, :]) / self.lengthscales
         return np.exp(-np.sum(diff * diff, axis=-1))
+
+    def embedding(self, measure: GaussianMeasure, X) -> np.ndarray:
+        """Mean embedding int k(u, x) dPi(u) at each row of X, shape (n,).
+
+        Closed form prod_j sqrt(pi) ell_j N(x_j | mu_j, sigma_j^2 + ell_j^2 / 2).
+        """
+        X = _as_batch(X, self.d)
+        self._check_measure(measure)
+        ell = self.lengthscales
+        var = measure.std ** 2 + 0.5 * ell ** 2
+        z = X - measure.mean
+        factors = _SQRT_PI * ell * np.exp(-0.5 * z * z / var) / np.sqrt(2.0 * np.pi * var)
+        return np.prod(factors, axis=1)
+
+    def double_integral(self, measure: GaussianMeasure) -> float:
+        """Integral of k against the measure in both arguments.
+
+        Closed form prod_j sqrt(pi) ell_j N(0 | 0, 2 sigma_j^2 + ell_j^2 / 2).
+        """
+        self._check_measure(measure)
+        ell = self.lengthscales
+        var = 2.0 * measure.std ** 2 + 0.5 * ell ** 2
+        return float(np.prod(_SQRT_PI * ell / np.sqrt(2.0 * np.pi * var)))
+
+    def _check_measure(self, measure) -> None:
+        if not isinstance(measure, GaussianMeasure):
+            raise TypeError("Gaussian-kernel integrals need a GaussianMeasure")
+        if measure.d != self.d:
+            raise ValueError("kernel and measure dimensions differ")
 
 
 @dataclass(frozen=True)
@@ -208,6 +229,14 @@ class SteinKernel:
             K *= 0.5
         return K
 
+    def embedding(self, measure, X) -> np.ndarray:
+        """Identically 1 for the kernel's own target; measure is ignored."""
+        return np.ones(_as_batch(X, self.d).shape[0])
+
+    def double_integral(self, measure) -> float:
+        """Identically 1 for the kernel's own target; measure is ignored."""
+        return 1.0
+
 
 def _sq_dist(A, B) -> np.ndarray:
     """sum_j (a_j - b_j)^2 for every pair of rows, clamped at 0."""
@@ -218,60 +247,3 @@ def _sq_dist(A, B) -> np.ndarray:
 
 
 KernelHandle = GaussianKernel | SteinKernel
-
-
-def kernel_eval(kernel: KernelHandle, x, y) -> float:
-    """Evaluate the kernel at a single pair of points."""
-    return kernel(x, y)
-
-
-def gram_matrix(kernel: KernelHandle, X, Y=None) -> np.ndarray:
-    """Pairwise kernel matrix for row-stacked points."""
-    return kernel.gram(X, Y)
-
-
-def mean_embedding(kernel: KernelHandle, measure: GaussianMeasure | None, x) -> float:
-    """Integral of k(., x) against the measure.
-
-    Gaussian kernel with Gaussian measure: closed form
-    prod_j sqrt(pi) ell_j N(x_j | mu_j, sigma_j^2 + ell_j^2 / 2).
-    Stein kernel: identically 1 for its own target (measure is ignored).
-    """
-    if isinstance(kernel, SteinKernel):
-        return 1.0
-    x = _as_vector(x, kernel.d, "x")
-    return float(embedding_vector(kernel, measure, x[None, :])[0])
-
-
-def embedding_vector(kernel: KernelHandle, measure: GaussianMeasure | None,
-                     X) -> np.ndarray:
-    """Mean embedding evaluated at each row of X, shape (n,)."""
-    X = _as_batch(X, kernel.d)
-    if isinstance(kernel, SteinKernel):
-        return np.ones(X.shape[0])
-    if not isinstance(measure, GaussianMeasure):
-        raise TypeError("Gaussian-kernel embeddings need a GaussianMeasure")
-    if measure.d != kernel.d:
-        raise ValueError("kernel and measure dimensions differ")
-    ell = kernel.lengthscales
-    var = measure.std ** 2 + 0.5 * ell ** 2
-    z = X - measure.mean
-    factors = _SQRT_PI * ell * np.exp(-0.5 * z * z / var) / np.sqrt(2.0 * np.pi * var)
-    return np.prod(factors, axis=1)
-
-
-def double_integral(kernel: KernelHandle, measure: GaussianMeasure | None) -> float:
-    """Integral of k against the measure in both arguments.
-
-    Gaussian case: prod_j sqrt(pi) ell_j N(0 | 0, 2 sigma_j^2 + ell_j^2 / 2).
-    Stein case: identically 1.
-    """
-    if isinstance(kernel, SteinKernel):
-        return 1.0
-    if not isinstance(measure, GaussianMeasure):
-        raise TypeError("Gaussian-kernel integrals need a GaussianMeasure")
-    if measure.d != kernel.d:
-        raise ValueError("kernel and measure dimensions differ")
-    ell = kernel.lengthscales
-    var = 2.0 * measure.std ** 2 + 0.5 * ell ** 2
-    return float(np.prod(_SQRT_PI * ell / np.sqrt(2.0 * np.pi * var)))

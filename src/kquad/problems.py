@@ -71,9 +71,6 @@ class ToyProblem:
     def target(self) -> GaussianMeasure:
         return GaussianMeasure(np.zeros(self.d), np.ones(self.d))
 
-    def integrand(self, X) -> np.ndarray:
-        return toy_integrand(self, X)
-
 
 def toy_integrand(problem: ToyProblem, X) -> np.ndarray:
     """Batched toy integrand values, (m, d) -> (m,)."""

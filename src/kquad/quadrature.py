@@ -17,13 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .kernels import (
-    KernelHandle,
-    GaussianMeasure,
-    double_integral,
-    embedding_vector,
-    gram_matrix,
-)
+from .kernels import KernelHandle, GaussianMeasure
 
 __all__ = [
     "NuggetPolicy",
@@ -149,10 +143,10 @@ def dedupe(points) -> np.ndarray:
 
 
 def _check_distinct(X):
-    keys = {X[i].tobytes() for i in range(X.shape[0])}
-    if len(keys) != X.shape[0]:
+    unique = dedupe(X).shape[0]
+    if unique != X.shape[0]:
         raise DuplicatePointsError(
-            f"{X.shape[0] - len(keys)} duplicate rows in point set"
+            f"{X.shape[0] - unique} duplicate rows in point set"
         )
 
 
@@ -223,9 +217,9 @@ def kq_fit(kernel: KernelHandle, measure: GaussianMeasure | None, points,
     """
     X = _as_points(points)
     _check_distinct(X)
-    K = gram_matrix(kernel, X)
-    z = embedding_vector(kernel, measure, X)
-    e0_sq = double_integral(kernel, measure)
+    K = kernel.gram(X)
+    z = kernel.embedding(measure, X)
+    e0_sq = kernel.double_integral(measure)
     w, nugget, _ = _solve_weights(K, z, policy)
     err = worst_case_error(K, z, w, e0_sq)
     return QuadratureRule(points=X, weights=w, embeddings=z,
@@ -267,9 +261,9 @@ def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
         raise ValueError(f"cannot select {n} points from {m} candidates")
     if not 0 <= seed_index < m:
         raise ValueError("seed_index out of range")
-    K_full = gram_matrix(kernel, C)
-    z_full = embedding_vector(kernel, measure, C)
-    e0_sq = double_integral(kernel, measure)
+    K_full = kernel.gram(C)
+    z_full = kernel.embedding(measure, C)
+    e0_sq = kernel.double_integral(measure)
 
     selected = [seed_index]
     chosen = np.zeros(m, dtype=bool)

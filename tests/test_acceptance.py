@@ -21,10 +21,7 @@ from kquad import (
     SteinKernel,
     ToyProblem,
     bach_density_truncated,
-    embedding_vector,
     gaussian_lengthscale_family,
-    gram_matrix,
-    kern_param_fit,
     kq_estimate,
     kq_fit,
     ode_log_posterior,
@@ -32,14 +29,16 @@ from kquad import (
     ode_score,
     posterior_benchmark,
     sbq_greedy_select,
-    select_rule_entry,
     smc_kq,
-    temperature_error_profile,
     toy_integrand,
     with_observations,
 )
+from kquad.controller import (
+    kern_param_fit,
+    select_rule_entry,
+    temperature_error_profile,
+)
 from kquad.harness import replicate_seed, rmse_aggregate, run, run_benchmark, validate_config
-from kquad.kernels import double_integral, mean_embedding
 from kquad.problems import ODEProblem
 from kquad.smc import ADAPTIVE_LOGNORMAL, ProposalPolicy
 
@@ -76,7 +75,7 @@ def test_criterion_01_embedding_oracle():
         kernel = GaussianKernel([ell])
         measure = GaussianMeasure([0.0], [sigma])
         for x in range(-3, 4):
-            got = mean_embedding(kernel, measure, [float(x)])
+            got = kernel.embedding(measure, [float(x)])[0]
             # finite limits with breakpoints at the kernel bump: the
             # infinite-interval transform can step over a narrow section
             lo = min(-12.0 * sigma, x - 12.0 * ell)
@@ -89,7 +88,7 @@ def test_criterion_01_embedding_oracle():
                 epsabs=1e-12, epsrel=1e-12, limit=200)
             assert err < 1e-10
             worst = max(worst, abs(got - oracle))
-        got0 = double_integral(kernel, measure)
+        got0 = kernel.double_integral(measure)
 
         def averaged_section(x_):
             lo = min(-12.0 * sigma, x_ - 12.0 * ell)
@@ -124,8 +123,8 @@ def test_criterion_02_interpolation_exactness():
         X = separated_points(rng, n)
         beta = rng.normal(size=n)
         rule = kq_fit(K1, M1, X)
-        f_vals = gram_matrix(K1, X) @ beta
-        exact = float(embedding_vector(K1, M1, X) @ beta)
+        f_vals = K1.gram(X) @ beta
+        exact = float(K1.embedding(M1, X) @ beta)
         worst = max(worst, abs(kq_estimate(rule, f_vals) - exact))
     report(2, worst <= 1e-8,
            f"span-of-sections integrands, worst gap {worst:.2e} (tol 1e-08)")
@@ -142,7 +141,7 @@ def test_criterion_03_error_identities():
         ra = kq_fit(K1, M1, X[:na])
         rb = kq_fit(K1, M1, X[:nb])
         assert ra.nugget_used == 0.0 and rb.nugget_used == 0.0
-        K = gram_matrix(K1, X[:nb])
+        K = K1.gram(X[:nb])
         z = rb.embeddings
         lhs = rb.worst_case_error**2 + float(z @ np.linalg.solve(K, z))
         worst_rel = max(worst_rel, abs(lhs - rb.e0_sq) / rb.e0_sq)
@@ -230,7 +229,7 @@ def test_criterion_08_stein_identities():
     mc_ok = True
     detail = []
     for phi in (-1.0, 0.0, 2.0):
-        col = gram_matrix(kern, draws, np.array([[phi]]))[:, 0] - 1.0
+        col = kern.gram(draws, np.array([[phi]]))[:, 0] - 1.0
         bound = 4.0 * float(col.std()) / np.sqrt(col.size)
         mc_ok = mc_ok and abs(float(col.mean())) <= bound
         detail.append(f"{abs(float(col.mean())):.1e}<={bound:.1e}")

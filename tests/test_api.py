@@ -1,0 +1,47 @@
+"""The package namespace covers every name the demos, the benchmark
+scripts and the README import from ``kquad``."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import kquad
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+
+
+def readme_blocks():
+    text = (ROOT / "README.md").read_text()
+    return re.findall(r"```python\n(.*?)```", text, flags=re.S)
+
+
+CODE = {p.relative_to(ROOT).as_posix(): p.read_text() for p in SOURCES}
+CODE.update((f"README.md block {i}", block)
+            for i, block in enumerate(readme_blocks()))
+
+
+def imported_from_kquad(source):
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "kquad"
+            for alias in node.names}
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 5
+    assert readme_blocks()
+
+
+@pytest.mark.parametrize("label", sorted(CODE))
+def test_package_imports_are_exported(label):
+    for name in sorted(imported_from_kquad(CODE[label])):
+        assert name in kquad.__all__, f"{label}: {name} not in kquad.__all__"
+        assert getattr(kquad, name) is not None
+
+
+def test_all_resolves_without_duplicates():
+    assert len(set(kquad.__all__)) == len(kquad.__all__) <= 40
+    for name in kquad.__all__:
+        getattr(kquad, name)

@@ -4,31 +4,26 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kquad import (
-    BoxUniform,
+from kquad.controller import (
     ErrorTrace,
     EvalCache,
-    GaussianKernel,
-    GaussianMeasure,
     InsufficientStatesError,
-    KernelFamily,
-    SteinKernel,
     TraceEntry,
     crit,
     crit_kl,
     gaussian_lengthscale_family,
-    gram_matrix,
     kern_param_fit,
-    kq_fit,
+    marginal_likelihood_objective,
     select_rule_entry,
     smc_kq,
     smc_kq_kl,
     temperature_error_profile,
     trend_test,
 )
-from kquad.controller import marginal_likelihood_objective
-from kquad.kernels import double_integral, embedding_vector
-from kquad.quadrature import chol_factor_with_nugget, worst_case_error
+from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
+from kquad.problems import ToyProblem, toy_integrand
+from kquad.quadrature import kq_fit, worst_case_error
+from kquad.smc import BoxUniform
 
 K1 = GaussianKernel([1.0])
 M1 = GaussianMeasure([0.0], [1.0])
@@ -116,9 +111,9 @@ def test_crit_full_subset_equals_rule_error():
 def test_crit_matches_subset_enumeration_oracle():
     rng = np.random.default_rng(2)
     states = spread_states(rng, 8)
-    K = gram_matrix(K1, states)
-    z = embedding_vector(K1, M1, states)
-    e0_sq = double_integral(K1, M1)
+    K = K1.gram(states)
+    z = K1.embedding(M1, states)
+    e0_sq = K1.double_integral(M1)
     sq_errors = []
     for idx in itertools.combinations(range(8), 2):
         idx = list(idx)
@@ -134,7 +129,7 @@ def test_crit_matches_subset_enumeration_oracle():
 def test_crit_bounded_by_initial_error():
     rng = np.random.default_rng(4)
     states = spread_states(rng, 12)
-    e0 = np.sqrt(double_integral(K1, M1))
+    e0 = np.sqrt(K1.double_integral(M1))
     for n in (1, 3, 6):
         got = crit(K1, M1, states, n=n, m_boot=50, rng=rng)
         assert got <= e0 + 1e-8
@@ -217,7 +212,7 @@ def test_marginal_likelihood_objective_random_oracle():
     for ell in (0.4, 1.0, 2.5):
         k = GaussianKernel([ell])
         got = marginal_likelihood_objective(f, X, k)
-        K = gram_matrix(k, X)
+        K = k.gram(X)
         oracle = f @ np.linalg.solve(K, f) + np.linalg.slogdet(K)[1]
         assert got == pytest.approx(float(oracle), rel=1e-9)
 
@@ -231,7 +226,7 @@ def test_kern_param_fit_recovers_lengthscale():
     hits = 0
     for _ in range(50):
         X = np.sort(rng.uniform(-3.0, 3.0, size=20))[:, None]
-        K = gram_matrix(true, X) + 1e-12 * np.eye(20)
+        K = true.gram(X) + 1e-12 * np.eye(20)
         y = scipy.linalg.cholesky(K, lower=True) @ rng.standard_normal(20)
         ell = kern_param_fit(y, X, family)[0]
         hits += 0.25 <= ell <= 1.0
@@ -277,7 +272,7 @@ def test_kern_param_fit_anisotropic_descent():
     rng = np.random.default_rng(7)
     X = rng.uniform(-2, 2, size=(30, 2))
     true = GaussianKernel([0.4, 2.0])
-    K = gram_matrix(true, X) + 1e-10 * np.eye(30)
+    K = true.gram(X) + 1e-10 * np.eye(30)
     y = scipy.linalg.cholesky(K, lower=True) @ rng.standard_normal(30)
     ells = kern_param_fit(y, X, family)
     assert ells.shape == (2,)
@@ -473,3 +468,28 @@ def test_temperature_error_profile_ladder_validation():
         run([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         run([0.0, 0.5, 1.1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_temperature_error_profile_replays_full_ladder(seed):
+    # one ladder loop: the fixed-ladder profile on the temperatures of a
+    # forced full run recomputes that run's statistic and nuggets bitwise
+    problem = ToyProblem(d=1)
+    measure = problem.target()
+    reference = GaussianMeasure([0.0], [8.0])
+    rep = smc_kq(lambda X: toy_integrand(problem, X), measure.log_density,
+                 K1, reference, measure=measure, n=20, n_particles=80,
+                 terminate_early=False, seed=seed)
+    nuggets = [e.nugget for e in rep.trace.entries]
+    trace, snapshots = temperature_error_profile(
+        measure.log_density, K1, reference, rep.trace.ts, measure=measure,
+        n=20, n_particles=80, seed=seed)
+    assert np.array_equal(trace.ts, rep.trace.ts)
+    assert np.array_equal(trace.errors, rep.trace.errors)
+    assert [e.nugget for e in trace.entries] == nuggets
+    assert len(snapshots) == len(rep.trace)
+    # a ladder that stops short of t = 1 ends at its last temperature
+    short, _ = temperature_error_profile(
+        measure.log_density, K1, reference, rep.trace.ts[:4], measure=measure,
+        n=20, n_particles=80, seed=seed)
+    assert np.array_equal(short.errors, rep.trace.errors[:4])

@@ -392,6 +392,10 @@ def test_cli_runtime_error_exit_3(tmp_path):
                    cwd=tmp_path)
     assert proc.returncode == 3
     assert "n_particles" in proc.stderr
+    # one line, no traceback
+    lines = [line for line in proc.stderr.splitlines() if line.strip()]
+    assert lines == [proc.stderr.strip()]
+    assert lines[0].startswith("runtime error: ValueError: ")
 
 
 def test_cli_seed_override_changes_results(tmp_path):

@@ -3,16 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from kquad import (
-    GaussianKernel,
-    GaussianMeasure,
-    SteinKernel,
-    double_integral,
-    embedding_vector,
-    gram_matrix,
-    kernel_eval,
-    mean_embedding,
-)
+from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from kquad.problems import ODEProblem, ode_score, with_observations
 
 # Oracle grid shared with the acceptance suite: stds x lengthscales x eval points.
@@ -49,12 +40,12 @@ def double_integral_oracle_1d(sigma, ell):
 
 def test_gaussian_kernel_values():
     k = GaussianKernel([1.0])
-    assert kernel_eval(k, [0.0], [0.0]) == 1.0
-    assert kernel_eval(k, [0.0], [1.0]) == pytest.approx(np.exp(-1.0), abs=1e-15)
+    assert k([0.0], [0.0]) == 1.0
+    assert k([0.0], [1.0]) == pytest.approx(np.exp(-1.0), abs=1e-15)
     # anisotropic: per-coordinate scaling
     k2 = GaussianKernel([1.0, 2.0])
     expect = np.exp(-(1.0 / 1.0 + 4.0 / 4.0))
-    assert kernel_eval(k2, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(expect, rel=1e-15)
+    assert k2([0.0, 0.0], [1.0, 2.0]) == pytest.approx(expect, rel=1e-15)
 
 
 def test_gaussian_kernel_separability():
@@ -64,14 +55,14 @@ def test_gaussian_kernel_separability():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b = rng.normal(size=2), rng.normal(size=2)
-        prod = kernel_eval(kx, a[:1], b[:1]) * kernel_eval(ky, a[1:], b[1:])
-        assert kernel_eval(kxy, a, b) == pytest.approx(prod, rel=1e-14)
+        prod = kx(a[:1], b[:1]) * ky(a[1:], b[1:])
+        assert kxy(a, b) == pytest.approx(prod, rel=1e-14)
 
 
 def test_gram_exact_symmetry_and_diag():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(17, 3))
-    K = gram_matrix(GaussianKernel([0.5, 1.0, 2.0]), X)
+    K = GaussianKernel([0.5, 1.0, 2.0]).gram(X)
     assert np.array_equal(K, K.T)
     assert np.all(np.diag(K) == 1.0)
 
@@ -79,7 +70,7 @@ def test_gram_exact_symmetry_and_diag():
 def test_gram_positive_semidefinite():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(40, 2))
-    K = gram_matrix(GaussianKernel([1.0, 1.0]), X)
+    K = GaussianKernel([1.0, 1.0]).gram(X)
     eigs = np.linalg.eigvalsh(K)
     assert eigs.min() >= -1e-10
 
@@ -87,11 +78,11 @@ def test_gram_positive_semidefinite():
 def test_gram_cross_matrix_shape():
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(5, 2)), rng.normal(size=(7, 2))
-    K = gram_matrix(GaussianKernel([1.0, 1.0]), X, Y)
+    K = GaussianKernel([1.0, 1.0]).gram(X, Y)
     assert K.shape == (5, 7)
     for i in (0, 4):
         for j in (0, 6):
-            assert K[i, j] == pytest.approx(kernel_eval(GaussianKernel([1.0, 1.0]), X[i], Y[j]), rel=1e-14)
+            assert K[i, j] == pytest.approx(GaussianKernel([1.0, 1.0])(X[i], Y[j]), rel=1e-14)
 
 
 def test_invalid_lengthscales_rejected():
@@ -128,11 +119,11 @@ def test_embedding_frozen_values():
     # sigma = ell = 1 at the origin: 1/sqrt(3)
     k = GaussianKernel([1.0])
     m = GaussianMeasure([0.0], [1.0])
-    assert mean_embedding(k, m, [0.0]) == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+    assert k.embedding(m, [0.0])[0] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
     # 2-d product: 1/3
     k2 = GaussianKernel([1.0, 1.0])
     m2 = GaussianMeasure([0.0, 0.0], [1.0, 1.0])
-    assert mean_embedding(k2, m2, [0.0, 0.0]) == pytest.approx(1 / 3, abs=1e-12)
+    assert k2.embedding(m2, [0.0, 0.0])[0] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_embedding_matches_quadrature_oracle():
@@ -141,7 +132,7 @@ def test_embedding_matches_quadrature_oracle():
         for ell in ORACLE_ELLS:
             k = GaussianKernel([ell])
             for x in ORACLE_XS:
-                got = mean_embedding(k, m, [x])
+                got = k.embedding(m, [x])[0]
                 want = embedding_oracle_1d(sigma, ell, x)
                 assert got == pytest.approx(want, abs=1e-8)
 
@@ -149,7 +140,7 @@ def test_embedding_matches_quadrature_oracle():
 def test_embedding_2d_separability_vs_oracle():
     k = GaussianKernel([0.5, 2.0])
     m = GaussianMeasure([0.0, 0.0], [1.0, 0.5])
-    got = mean_embedding(k, m, [1.0, -0.5])
+    got = k.embedding(m, [1.0, -0.5])[0]
     want = embedding_oracle_1d(1.0, 0.5, 1.0) * embedding_oracle_1d(0.5, 2.0, -0.5)
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -162,32 +153,41 @@ def test_embedding_nonzero_mean_measure():
         return np.exp(-((2.0 - y) ** 2) / 1.5**2) * scipy.stats.norm.pdf(y, 0.7, 1.2)
 
     want, _ = scipy.integrate.quad(f, -np.inf, np.inf, epsabs=1e-12)
-    assert mean_embedding(k, m, [2.0]) == pytest.approx(want, abs=1e-10)
+    assert k.embedding(m, [2.0])[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_embedding_vector_batches():
     k = GaussianKernel([1.0])
     m = GaussianMeasure([0.0], [1.0])
     X = np.array([[0.0], [1.0], [-2.0]])
-    z = embedding_vector(k, m, X)
+    z = k.embedding(m, X)
     assert z.shape == (3,)
     for i in range(3):
-        assert z[i] == pytest.approx(mean_embedding(k, m, X[i]), rel=1e-14)
+        assert z[i] == pytest.approx(k.embedding(m, X[i])[0], rel=1e-14)
 
 
 def test_double_integral_frozen_and_oracle():
     k = GaussianKernel([1.0])
     m = GaussianMeasure([0.0], [1.0])
-    assert double_integral(k, m) == pytest.approx(1 / np.sqrt(5), abs=1e-12)
+    assert k.double_integral(m) == pytest.approx(1 / np.sqrt(5), abs=1e-12)
     for sigma, ell in [(1.0, 1.0), (0.5, 0.25), (2.0, 3.0)]:
-        got = double_integral(GaussianKernel([ell]), GaussianMeasure([0.0], [sigma]))
+        got = GaussianKernel([ell]).double_integral(GaussianMeasure([0.0], [sigma]))
         assert got == pytest.approx(double_integral_oracle_1d(sigma, ell), abs=1e-8)
 
 
 def test_double_integral_large_lengthscale_limit():
     k = GaussianKernel([1e6])
     m = GaussianMeasure([0.0], [1.0])
-    assert double_integral(k, m) == pytest.approx(1.0, abs=1e-6)
+    assert k.double_integral(m) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_gaussian_integrals_need_matching_gaussian_measure():
+    k = GaussianKernel([1.0, 1.0])
+    for method, args in ((k.embedding, ([[0.0, 0.0]],)), (k.double_integral, ())):
+        with pytest.raises(TypeError):
+            method(None, *args)
+        with pytest.raises(ValueError):
+            method(GaussianMeasure([0.0], [1.0]), *args)
 
 
 # --- Stein construction ---
@@ -289,7 +289,7 @@ def test_stein_gram_exact_symmetry_and_diagonal():
 def test_stein_kernel_frozen_value():
     k = SteinKernel(GaussianKernel([1.0]), score=std_normal_score)
     # at theta = phi = 0: the constant plus the mixed-derivative term 2/ell^2
-    assert kernel_eval(k, [0.0], [0.0]) == pytest.approx(3.0, rel=1e-14)
+    assert k([0.0], [0.0]) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_stein_base_derivative_frozen_values():
@@ -316,7 +316,7 @@ def test_stein_base_derivatives_match_finite_differences():
     h = 1e-5
 
     def kb_eval(a, b):
-        return kernel_eval(base, a, b)
+        return base(a, b)
 
     for _ in range(6):
         t, p = rng.normal(size=2), rng.normal(size=2)
@@ -343,7 +343,7 @@ def test_stein_gram_matches_operator_assembly():
     kern = SteinKernel(base, score=std_normal_score)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(6, 2))
-    K = gram_matrix(kern, X)
+    K = kern.gram(X)
     U = std_normal_score(X)
     want = np.empty((6, 6))
     for i in range(6):
@@ -358,9 +358,9 @@ def test_stein_gram_matches_operator_assembly():
 
 def test_stein_embeddings_are_unit():
     k = SteinKernel(GaussianKernel([1.0]), score=std_normal_score)
-    assert mean_embedding(k, None, [0.3]) == 1.0
-    assert double_integral(k, None) == 1.0
-    z = embedding_vector(k, None, np.array([[0.1], [2.0], [-3.0]]))
+    assert k.embedding(None, [0.3])[0] == 1.0
+    assert k.double_integral(None) == 1.0
+    z = k.embedding(None, np.array([[0.1], [2.0], [-3.0]]))
     assert np.array_equal(z, np.ones(3))
 
 
@@ -370,6 +370,6 @@ def test_stein_zero_mean_monte_carlo():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(100_000, 1))
     for x0 in ([0.0], [1.5]):
-        vals = gram_matrix(k, X, np.asarray([x0]))[:, 0]
+        vals = k.gram(X, np.asarray([x0]))[:, 0]
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - 1.0) < 5 * se + 1e-3

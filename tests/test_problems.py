@@ -4,7 +4,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
-from kquad import (
+from kquad.problems import (
     BachDiagnostic,
     BenchmarkResult,
     ODEProblem,
@@ -22,8 +22,8 @@ from kquad import (
     posterior_benchmark,
     toy_integrand,
     with_observations,
+    _trajectory,
 )
-from kquad.problems import _trajectory
 
 THETA_UNDER = np.array([1.0, 3.75, 2.5, 0.5])
 THETA_OVER = np.array([1.0, 0.5, 0.25, 2.0])

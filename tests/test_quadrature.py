@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kquad import (
+from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
+from kquad.quadrature import (
     DuplicatePointsError,
-    GaussianKernel,
-    GaussianMeasure,
     GramSingularError,
     NuggetPolicy,
-    SteinKernel,
+    chol_factor_with_nugget,
     dedupe,
-    embedding_vector,
     gaussian_inverse_cdf,
-    gram_matrix,
     halton_points,
     kq_estimate,
     kq_fit,
@@ -21,7 +18,6 @@ from kquad import (
     sbq_greedy_select,
     worst_case_error,
 )
-from kquad.quadrature import chol_factor_with_nugget
 
 K1 = GaussianKernel([1.0])
 M1 = GaussianMeasure([0.0], [1.0])
@@ -60,8 +56,8 @@ def test_interpolation_exactness():
         beta = rng.normal(size=n)
         rule = kq_fit(K1, M1, X)
         # f lies in the span of kernel sections at the nodes
-        f_vals = gram_matrix(K1, X) @ beta
-        exact = float(embedding_vector(K1, M1, X) @ beta)
+        f_vals = K1.gram(X) @ beta
+        exact = float(K1.embedding(M1, X) @ beta)
         assert kq_estimate(rule, f_vals) == pytest.approx(exact, abs=1e-8)
 
 
@@ -72,7 +68,7 @@ def test_error_identity_exact_weights():
         X = separated_points(rng, n)
         rule = kq_fit(K1, M1, X)
         assert rule.nugget_used == 0.0
-        K = gram_matrix(K1, X)
+        K = K1.gram(X)
         z = rule.embeddings
         lhs = rule.worst_case_error**2 + z @ np.linalg.solve(K, z)
         assert lhs == pytest.approx(rule.e0_sq, rel=1e-8)
@@ -95,7 +91,7 @@ def test_optimal_weights_minimize_error():
     rng = np.random.default_rng(3)
     X = separated_points(rng, 8)
     rule = kq_fit(K1, M1, X)
-    K = gram_matrix(K1, X)
+    K = K1.gram(X)
     z = rule.embeddings
     base = worst_case_error(K, z, rule.weights, rule.e0_sq)
     for _ in range(50):
@@ -107,7 +103,7 @@ def test_tiny_lengthscale_weights_approach_embeddings():
     k = GaussianKernel([1e-3])
     X = np.linspace(-3, 3, 7)[:, None]
     rule = kq_fit(k, M1, X)
-    z = embedding_vector(k, M1, X)
+    z = k.embedding(M1, X)
     assert np.max(np.abs(rule.weights - z)) <= 1e-6
 
 
@@ -144,7 +140,7 @@ def test_chol_factor_identity_no_jitter():
 
 def test_chol_factor_escalates_on_near_singular():
     X = np.array([[0.0], [1e-9]])
-    K = gram_matrix(K1, X)
+    K = K1.gram(X)
     L, jitter = chol_factor_with_nugget(K)
     assert jitter > 0.0
     assert np.all(np.isfinite(L))
