@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import KernelHandle, GaussianKernel, GaussianMeasure
 from .quadrature import (
@@ -29,9 +28,11 @@ from .quadrature import (
     GramSingularError,
     NuggetPolicy,
     chol_factor_with_nugget,
+    cho_solve_lower,
     dedupe,
     kq_estimate,
     kq_fit,
+    solve_lower,
     worst_case_error,
 )
 from .smc import (
@@ -193,10 +194,10 @@ def _bootstrap_error(kernel: KernelHandle, measure: GaussianMeasure | None,
     total, max_nugget = 0.0, 0.0
     for _ in range(m_boot):
         idx = rng.choice(m, size=n, replace=False)
-        Ks = K[np.ix_(idx, idx)]
+        Ks = K.take(idx, 0).take(idx, 1)  # the idx-by-idx block
         zs = z[idx]
         L, nugget = chol_factor_with_nugget(Ks, policy)
-        w = scipy.linalg.cho_solve((L, True), zs, check_finite=False)
+        w = cho_solve_lower(L, zs)
         err = worst_case_error(Ks, zs, w, e0_sq)
         total += err * err
         max_nugget = max(max_nugget, nugget)
@@ -285,7 +286,7 @@ def marginal_likelihood_objective(f_values, points, kernel: KernelHandle,
     X = np.asarray(points, dtype=float)
     K = kernel.gram(X)
     L, _ = chol_factor_with_nugget(K, policy)
-    half = scipy.linalg.solve_triangular(L, f, lower=True, check_finite=False)
+    half = solve_lower(L, f)
     return float(half @ half) + 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
@@ -400,8 +401,7 @@ def _kl_error(kernel: KernelHandle, measure: GaussianMeasure | None,
                                            rng, policy)
     K = kernel.gram(states[:n])
     L, _ = chol_factor_with_nugget(K, policy)
-    half = scipy.linalg.solve_triangular(L, f_vals, lower=True,
-                                         check_finite=False)
+    half = solve_lower(L, f_vals)
     norm_sq = float(half @ half)
     return float(np.sqrt(mean_sq) * np.sqrt(max(norm_sq, 0.0))), max_nugget
 
@@ -436,7 +436,7 @@ def _run_ladder(target: TemperedTarget, reference, rho: float, delta: float,
     fixed ladder is given.  Returns (trace, snapshots); snapshots[i] is
     the particle system the i-th trace entry was computed from.
     """
-    system = init_particles(reference, n_particles, rng)
+    system = init_particles(reference, n_particles, rng, target)
     trace = ErrorTrace()
     snapshots = [system]
     trace.append(record(system))
@@ -495,7 +495,10 @@ def smc_kq(f: Callable[[np.ndarray], np.ndarray],
         Batched integrand, (m, d) -> (m,).
     log_target : callable
         Batched log-density of the target (unnormalised is fine when the
-        kernel is a Stein kernel).
+        kernel is a Stein kernel).  Row-wise: a row's value must not
+        depend on the other rows of the batch, because the particles
+        carry their values along the ladder; the target is evaluated once
+        on the initial particles and then only on each move's proposals.
     kernel : GaussianKernel or SteinKernel
     reference : object with sample(rng, size) and log_density(X)
     measure : GaussianMeasure, optional
@@ -547,6 +550,10 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
     bootstrap error statistic times the interpolant norm.  The final rule
     is fitted on every cached evaluation point with the parameters from
     the selected temperature, so no integrand evaluation is wasted.
+
+    log_target must be row-wise, as for smc_kq: a row's value must not
+    depend on the other rows of the batch, because the particles carry
+    their values along the ladder.
     """
     if n_particles < 2 * n:
         raise ValueError("n_particles must be at least 2 * n")

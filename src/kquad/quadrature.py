@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .kernels import KernelHandle, GaussianMeasure
 
@@ -154,7 +154,9 @@ def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET
     """Lower Cholesky factor of K + jitter*I, escalating jitter on failure.
 
     Returns (L, effective_jitter).  Raises GramSingularError when every
-    ladder attempt fails.
+    ladder attempt fails.  K is left unchanged: LAPACK potrf factors a
+    copy of it, and a jittered attempt adds the jitter to the diagonal of
+    that copy.
     """
     n = K.shape[0]
     scale = float(np.trace(K)) / n if policy.scale_by_trace else 1.0
@@ -162,20 +164,43 @@ def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET
     for jitter in policy.ladder():
         effective = jitter * scale
         tried.append(effective)
-        A = K if effective == 0.0 else K + effective * np.eye(n)
-        try:
-            L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
+        if effective == 0.0:
+            A = K
+            L, info = dpotrf(A, lower=1, clean=1)
+        else:
+            # one Fortran-ordered copy, factored in place; adding 0.0 turns
+            # -0.0 into +0.0, so the bits match those of K + effective * I
+            A = np.add(K, 0.0, order="F")
+            A.flat[::n + 1] += effective
+            L, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return L, effective
-        except scipy.linalg.LinAlgError:
-            continue
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+        del A, L  # a failed attempt's buffers go before the next one
     diag = np.diag(K)
     raise GramSingularError(tried, (float(diag.min()), float(diag.max())))
 
 
+def cho_solve_lower(L, b) -> np.ndarray:
+    """(L L')^-1 b for a lower Cholesky factor L, by LAPACK potrs."""
+    x, info = dpotrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def solve_lower(L, b) -> np.ndarray:
+    """L^-1 b for a lower Cholesky factor L, by LAPACK trtrs."""
+    x, info = dtrtrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
 def _solve_weights(K, z, policy):
     L, nugget = chol_factor_with_nugget(K, policy)
-    w = scipy.linalg.cho_solve((L, True), z, check_finite=False)
-    return w, nugget, L
+    return cho_solve_lower(L, z), nugget, L
 
 
 def worst_case_error(K, z, w, e0_sq: float) -> float:
@@ -275,7 +300,7 @@ def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
             if chosen[j] or C[j].tobytes() in keys:
                 continue
             idx = selected + [j]
-            K = K_full[np.ix_(idx, idx)]
+            K = K_full.take(idx, 0).take(idx, 1)  # the idx-by-idx block
             z = z_full[idx]
             try:
                 w, _, _ = _solve_weights(K, z, policy)

@@ -9,6 +9,15 @@ multinomially resampled when the effective sample size degrades, then
 rejuvenated with a Metropolis-Hastings sweep whose proposal can adapt to
 the current particle population.
 
+A ParticleSystem carries, next to its states, the reference and target
+log-densities of those states (-inf outside the support box).  The initial
+system evaluates them once, reweighting and the temperature solve read
+them, and a Metropolis-Hastings sweep evaluates the target only on its
+proposals; accepted proposals and resampled copies take their values with
+them.  Each row's log_target value must therefore depend on that row
+alone, never on the other rows of the batch it was computed in.  A system
+built without densities evaluates them from the target when needed.
+
 All operations are functional: they return new ParticleSystem instances
 and treat state arrays as immutable.
 """
@@ -16,7 +25,7 @@ and treat state arrays as immutable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -95,7 +104,10 @@ class TemperedTarget:
     log_ref : callable
         Batched log-density of the reference, (n, d) -> (n,).
     log_target : callable
-        Batched (possibly unnormalised) log-density of the target.
+        Batched (possibly unnormalised) log-density of the target.  It
+        must be row-wise: a row's value may not depend on the other rows
+        of the batch, because particle systems carry the values of their
+        states along the ladder instead of evaluating them again.
     support : tuple of arrays, optional
         (lower, upper) box enforced at every temperature, including t = 1.
     """
@@ -111,43 +123,66 @@ class TemperedTarget:
         lo, hi = self.support
         return np.all((X >= lo) & (X <= hi), axis=1)
 
-    def log_ratio(self, X) -> np.ndarray:
-        """log pi - log pi_0, with -inf outside the support box."""
+    def densities(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(log pi_0, log pi) at the rows of X; -inf outside the support box.
+
+        Both callables see only the rows inside the box, in one batch each.
+        """
         X = np.asarray(X, dtype=float)
         mask = self.in_support(X)
-        out = np.full(X.shape[0], -np.inf)
+        log_ref = np.full(X.shape[0], -np.inf)
+        log_target = np.full(X.shape[0], -np.inf)
         if np.any(mask):
             Xin = X[mask]
-            out[mask] = np.asarray(self.log_target(Xin)) - np.asarray(self.log_ref(Xin))
-        return out
+            log_ref[mask] = self.log_ref(Xin)
+            log_target[mask] = self.log_target(Xin)
+        return log_ref, log_target
 
     def log_tempered(self, X, t: float) -> np.ndarray:
         """log pi_t up to a constant; -inf outside the support box."""
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"temperature {t} outside [0, 1]")
-        X = np.asarray(X, dtype=float)
-        mask = self.in_support(X)
-        out = np.full(X.shape[0], -np.inf)
-        if np.any(mask):
-            Xin = X[mask]
-            # endpoint temperatures skip a factor entirely so that a
-            # vanishing density on the other side cannot produce 0 * inf
-            vals = 0.0
-            if t < 1.0:
-                vals = vals + (1.0 - t) * np.asarray(self.log_ref(Xin), dtype=float)
-            if t > 0.0:
-                vals = vals + t * np.asarray(self.log_target(Xin), dtype=float)
-            out[mask] = vals
-        return out
+        return _log_tempered(self.in_support(X), *self.densities(X), t)
+
+
+def _log_ratio(inside, log_ref, log_target) -> np.ndarray:
+    """log pi - log pi_0, with -inf outside the support box."""
+    out = np.full(inside.shape[0], -np.inf)
+    out[inside] = log_target[inside] - log_ref[inside]
+    return out
+
+
+def _log_tempered(inside, log_ref, log_target, t: float) -> np.ndarray:
+    """log pi_t up to a constant; -inf outside the support box."""
+    out = np.full(inside.shape[0], -np.inf)
+    # endpoint temperatures skip a factor entirely so that a
+    # vanishing density on the other side cannot produce 0 * inf
+    vals = 0.0
+    if t < 1.0:
+        vals = vals + (1.0 - t) * log_ref[inside]
+    if t > 0.0:
+        vals = vals + t * log_target[inside]
+    out[inside] = vals
+    return out
 
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """Weighted particles at a temperature: states (N, d), weights (N,)."""
+    """Weighted particles at a temperature: states (N, d), weights (N,).
+
+    log_ref and log_target, when given, are the reference and target
+    log-densities of the states (N,), -inf outside the support box, as
+    TemperedTarget.densities returns them.  They belong to the target the
+    system is reweighted and moved with; a system without them evaluates
+    that target when it needs them.
+    """
 
     states: np.ndarray
     weights: np.ndarray
     t: float
+    log_ref: np.ndarray | None = field(default=None, compare=False, repr=False)
+    log_target: np.ndarray | None = field(default=None, compare=False,
+                                          repr=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -160,12 +195,31 @@ class ParticleSystem:
             raise ValueError("weights must sum to 1")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"temperature {self.t} outside [0, 1]")
+        if (self.log_ref is None) != (self.log_target is None):
+            raise ValueError("log_ref and log_target are carried together")
+        if self.log_ref is not None and not (
+                np.shape(self.log_ref) == np.shape(self.log_target)
+                == weights.shape):
+            raise ValueError("carried log-densities must match weights (N,)")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
 
     @property
     def n_particles(self) -> int:
         return self.states.shape[0]
+
+
+def _densities(system: ParticleSystem, target: TemperedTarget):
+    """(in-support mask, log_ref, log_target) of the system's states.
+
+    The log-densities are the carried ones; the target is evaluated only
+    when the system carries none.
+    """
+    if system.log_ref is None:
+        log_ref, log_target = target.densities(system.states)
+    else:
+        log_ref, log_target = system.log_ref, system.log_target
+    return target.in_support(system.states), log_ref, log_target
 
 
 @dataclass(frozen=True)
@@ -186,14 +240,20 @@ class ProposalPolicy:
             raise ValueError("rw_scale must be positive")
 
 
-def init_particles(reference, n_particles: int,
-                   rng: np.random.Generator) -> ParticleSystem:
-    """Equal-weight draw of n_particles from the reference, at t = 0."""
+def init_particles(reference, n_particles: int, rng: np.random.Generator,
+                   target: TemperedTarget | None = None) -> ParticleSystem:
+    """Equal-weight draw of n_particles from the reference, at t = 0.
+
+    With a target, the system carries its densities at the drawn states.
+    """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
     states = reference.sample(rng, n_particles)
     weights = np.full(n_particles, 1.0 / n_particles)
-    return ParticleSystem(states=states, weights=weights, t=0.0)
+    log_ref, log_target = (None, None) if target is None \
+        else target.densities(states)
+    return ParticleSystem(states=states, weights=weights, t=0.0,
+                          log_ref=log_ref, log_target=log_target)
 
 
 def ess(weights) -> float:
@@ -227,7 +287,7 @@ def cess(system: ParticleSystem, target: TemperedTarget,
     """
     if t_candidate < system.t:
         raise ValueError("t_candidate must not decrease the temperature")
-    lr = target.log_ratio(system.states)
+    lr = _log_ratio(*_densities(system, target))
     return _cess_from_ratios(system.weights, lr, t_candidate - system.t,
                              system.n_particles)
 
@@ -244,7 +304,7 @@ def next_temperature(system: ParticleSystem, target: TemperedTarget,
         raise ValueError("rho must lie in (0, 1)")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    lr = target.log_ratio(system.states)
+    lr = _log_ratio(*_densities(system, target))
     w = system.weights
     n = system.n_particles
     level = rho * n
@@ -275,7 +335,8 @@ def reweight(system: ParticleSystem, target: TemperedTarget,
     """
     if t_next < system.t:
         raise ValueError("t_next must not decrease the temperature")
-    lr = target.log_ratio(system.states)
+    inside, log_ref, log_target = _densities(system, target)
+    lr = _log_ratio(inside, log_ref, log_target)
     with np.errstate(divide="ignore"):
         logw = np.where(system.weights > 0, np.log(system.weights), -np.inf)
     dt = t_next - system.t
@@ -287,16 +348,22 @@ def reweight(system: ParticleSystem, target: TemperedTarget,
     total = float(u.sum())
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateWeightsError("reweighting produced a zero total mass")
-    return ParticleSystem(states=system.states, weights=u / total, t=t_next)
+    return ParticleSystem(states=system.states, weights=u / total, t=t_next,
+                          log_ref=log_ref, log_target=log_target)
 
 
 def resample_multinomial(system: ParticleSystem,
                          rng: np.random.Generator) -> ParticleSystem:
-    """Multinomial resampling; returns equal-weight copies of survivors."""
+    """Multinomial resampling; returns equal-weight copies of survivors.
+
+    Carried log-densities are gathered with the states.
+    """
     n = system.n_particles
     idx = rng.choice(n, size=n, p=system.weights)
+    carried = {} if system.log_ref is None else {
+        "log_ref": system.log_ref[idx], "log_target": system.log_target[idx]}
     return ParticleSystem(states=system.states[idx],
-                          weights=np.full(n, 1.0 / n), t=system.t)
+                          weights=np.full(n, 1.0 / n), t=system.t, **carried)
 
 
 def _weighted_mean_cov(states, weights):
@@ -333,13 +400,17 @@ def markov_move(system: ParticleSystem, target: TemperedTarget,
     particle set at the start of each sweep and hold them fixed across the
     sweep.  Draw order per sweep is fixed (one (N, d) block of standard
     normals, then one (N,) block of uniforms) so accept decisions can be
-    replayed exactly.  Weights and temperature are unchanged.
+    replayed exactly.  Weights and temperature are unchanged.  The target
+    is evaluated only on the proposals; accepted proposals carry their
+    log-densities into the returned system.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     states = system.states
     n, d = states.shape
     t = system.t
+    inside, log_ref, log_target = _densities(system, target)
+    log_pi_cur = _log_tempered(inside, log_ref, log_target, t)
     for _ in range(sweeps):
         if policy.kind == RANDOM_WALK:
             noise = rng.standard_normal((n, d))
@@ -366,15 +437,20 @@ def markov_move(system: ParticleSystem, target: TemperedTarget,
         else:  # pragma: no cover - guarded by ProposalPolicy
             raise ValueError(policy.kind)
 
-        log_pi_cur = target.log_tempered(states, t)
-        log_pi_prop = target.log_tempered(proposals, t)
+        prop_ref, prop_target = target.densities(proposals)
+        log_pi_prop = _log_tempered(target.in_support(proposals), prop_ref,
+                                    prop_target, t)
         with np.errstate(invalid="ignore"):
             log_r = log_pi_prop - log_pi_cur + log_q_diff
         log_r = np.where(np.isneginf(log_pi_prop), -np.inf, log_r)
         u = rng.uniform(size=n)
         accept = np.log(u) < log_r
         states = np.where(accept[:, None], proposals, states)
-    return ParticleSystem(states=states, weights=system.weights, t=t)
+        log_ref = np.where(accept, prop_ref, log_ref)
+        log_target = np.where(accept, prop_target, log_target)
+        log_pi_cur = np.where(accept, log_pi_prop, log_pi_cur)
+    return ParticleSystem(states=states, weights=system.weights, t=t,
+                          log_ref=log_ref, log_target=log_target)
 
 
 def smc_step(system: ParticleSystem, target: TemperedTarget, t_next: float,

@@ -493,3 +493,23 @@ def test_temperature_error_profile_replays_full_ladder(seed):
         measure.log_density, K1, reference, rep.trace.ts[:4], measure=measure,
         n=20, n_particles=80, seed=seed)
     assert np.array_equal(short.errors, rep.trace.errors[:4])
+
+
+@pytest.mark.parametrize("sweeps", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smc_kq_evaluates_target_once_per_particle_per_move(seed, sweeps):
+    # particles carry their densities: the initial draw and each sweep's
+    # proposals are the only rows log_target ever sees
+    problem = ToyProblem(d=1)
+    measure = problem.target()
+    rows = [0]
+
+    def log_target(X):
+        rows[0] += X.shape[0]
+        return measure.log_density(X)
+
+    rep = smc_kq(lambda X: toy_integrand(problem, X), log_target, K1,
+                 GaussianMeasure([0.0], [8.0]), measure=measure, n=20,
+                 n_particles=80, sweeps=sweeps, seed=seed)
+    assert len(rep.trace) > 1
+    assert rows[0] == 80 * (1 + sweeps * (len(rep.trace) - 1))

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from kquad.quadrature import (
+    DEFAULT_NUGGET,
     DuplicatePointsError,
     GramSingularError,
     NuggetPolicy,
@@ -16,8 +18,10 @@ from kquad.quadrature import (
     kq_fit,
     mc_estimate,
     sbq_greedy_select,
+    solve_lower,
     worst_case_error,
 )
+from kquad.quadrature import _solve_weights
 
 K1 = GaussianKernel([1.0])
 M1 = GaussianMeasure([0.0], [1.0])
@@ -144,6 +148,36 @@ def test_chol_factor_escalates_on_near_singular():
     L, jitter = chol_factor_with_nugget(K)
     assert jitter > 0.0
     assert np.all(np.isfinite(L))
+
+
+def grams_failing_at_zero_jitter():
+    toy = np.random.default_rng(0).normal(0.0, 8.0, size=(75, 1))
+    return {
+        "near-singular": (K1.gram(np.array([[0.0], [1e-9]])), None),
+        "toy-75": (K1.gram(toy), K1.embedding(M1, toy)),
+        # a jittered copy must not keep -0.0 where K + jitter * I had +0.0
+        "signed-zero": (np.array([[1.0, 1.0, -0.0], [1.0, 1.0, 0.0],
+                                  [-0.0, 0.0, 1.0]]), None),
+    }
+
+
+@pytest.mark.parametrize("case", ["near-singular", "toy-75", "signed-zero"])
+def test_lapack_factor_and_solves_match_scipy_wrappers(case):
+    K, z = grams_failing_at_zero_jitter()[case]
+    n = K.shape[0]
+    if z is None:
+        z = np.linspace(0.5, 1.5, n)
+    before = K.copy()
+    L, jitter = chol_factor_with_nugget(K)
+    assert jitter > 0.0
+    expected = scipy.linalg.cholesky(K + jitter * np.eye(n), lower=True)
+    assert L.tobytes() == expected.tobytes()
+    w, nugget, L_w = _solve_weights(K, z, DEFAULT_NUGGET)
+    assert nugget == jitter and L_w.tobytes() == expected.tobytes()
+    assert w.tobytes() == scipy.linalg.cho_solve((expected, True), z).tobytes()
+    half = scipy.linalg.solve_triangular(expected, z, lower=True)
+    assert solve_lower(L, z).tobytes() == half.tobytes()
+    assert K.tobytes() == before.tobytes()
 
 
 def test_gram_singular_error_carries_diagnostics():

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
 
 from kquad.smc import (
+    ADAPTIVE_GAUSSIAN,
     ADAPTIVE_LOGNORMAL,
     RANDOM_WALK,
     BoxUniform,
@@ -303,6 +306,38 @@ def test_smc_step_resamples_when_ess_low():
     assert np.array_equal(out.weights, np.full(2, 0.5))
 
 
+@pytest.mark.parametrize("kind", [RANDOM_WALK, ADAPTIVE_GAUSSIAN])
+def test_carried_densities_match_fresh_evaluation(kind):
+    # the reference draw is wider than the support box, so some carried
+    # values start at -inf, and the moves propose states outside the box
+    target = TemperedTarget(
+        log_ref=lambda X: -0.125 * np.sum(X * X, axis=1),
+        log_target=lambda X: -2.0 * np.sum((X - 0.5) ** 2, axis=1),
+        support=(np.array([-1.5, -1.5]), np.array([1.5, 1.5])))
+    rng = np.random.default_rng(8)
+    box = BoxUniform(lower=[-2.0, -2.0], upper=[2.0, 2.0])
+    system = init_particles(box, 60, rng, target)
+    assert np.isneginf(system.log_target).any()
+    resampled = []
+    policy = ProposalPolicy(kind=kind, rw_scale=1.0)
+    for t_next in (0.02, 0.05, 0.5, 0.55, 1.0):
+        # the same step from a copy that carries nothing evaluates the
+        # densities afresh and must land on the same particles
+        bare = ParticleSystem(states=system.states, weights=system.weights,
+                              t=system.t)
+        replay = smc_step(bare, target, t_next, rho=0.8, policy=policy,
+                          rng=copy.deepcopy(rng), sweeps=2)
+        system = smc_step(system, target, t_next, rho=0.8, policy=policy,
+                          rng=rng, sweeps=2)
+        assert np.array_equal(system.states, replay.states)
+        assert np.array_equal(system.weights, replay.weights)
+        resampled.append(bool(np.all(system.weights == 1 / 60)))
+        fresh_ref, fresh_target = target.densities(system.states)
+        assert system.log_ref.tobytes() == fresh_ref.tobytes()
+        assert system.log_target.tobytes() == fresh_target.tobytes()
+    assert True in resampled and False in resampled
+
+
 # --- construction and validation ---
 
 
@@ -338,6 +373,12 @@ def test_particle_system_validation():
         ParticleSystem(states=ok_states, weights=np.array([0.5, 0.5]), t=1.5)
     with pytest.raises(ValueError):
         ParticleSystem(states=np.zeros(2), weights=np.array([0.5, 0.5]), t=0.0)
+    with pytest.raises(ValueError):  # carried densities come in pairs
+        ParticleSystem(states=ok_states, weights=np.array([0.5, 0.5]), t=0.0,
+                       log_ref=np.zeros(2))
+    with pytest.raises(ValueError):
+        ParticleSystem(states=ok_states, weights=np.array([0.5, 0.5]), t=0.0,
+                       log_ref=np.zeros(2), log_target=np.zeros(3))
 
 
 def test_proposal_policy_validation():
