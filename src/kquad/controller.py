@@ -32,6 +32,7 @@ from .quadrature import (
     dedupe,
     kq_estimate,
     kq_fit,
+    row_keys,
     solve_lower,
     worst_case_error,
 )
@@ -120,17 +121,16 @@ class EvalCache:
                  X: np.ndarray) -> np.ndarray:
         """Values of f at the rows of X, evaluating only unseen rows."""
         X = np.asarray(X, dtype=float)
-        keys = [X[i].tobytes() for i in range(X.shape[0])]
-        seen: set[bytes] = set()
-        missing = []
+        keys = row_keys(X).tolist()
+        missing: dict[bytes, int] = {}  # unseen key -> its first row
         for i, k in enumerate(keys):
-            if k not in self._values and k not in seen:
-                missing.append(i)
-                seen.add(k)
+            if k not in self._values and k not in missing:
+                missing[k] = i
         if missing:
-            fresh = np.asarray(f(X[missing]), dtype=float).reshape(len(missing))
-            for j, i in enumerate(missing):
-                self._values[keys[i]] = float(fresh[j])
+            rows = list(missing.values())
+            fresh = np.asarray(f(X[rows]), dtype=float).reshape(len(rows))
+            for k, i, value in zip(missing, rows, fresh):
+                self._values[k] = float(value)
                 self._points.append(X[i].copy())
         return np.asarray([self._values[k] for k in keys])
 
@@ -142,7 +142,7 @@ class EvalCache:
 
     def values(self) -> np.ndarray:
         """Cached values in the same order as points()."""
-        return np.asarray([self._values[p.tobytes()] for p in self._points])
+        return np.asarray(list(self._values.values()))
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,9 @@ def _bootstrap_error(kernel: KernelHandle, measure: GaussianMeasure | None,
 
     Returns (mean of e_n^2, max nugget used).  The Gram matrix and
     embeddings over the unique states are assembled once and sliced per
-    subset.
+    subset.  Every index set is drawn before the first fit; the draws are
+    the only use of rng here, so its stream is that of drawing each set
+    just before its fit.
     """
     if n < 1:
         raise ValueError("subset size must be >= 1")
@@ -191,14 +193,13 @@ def _bootstrap_error(kernel: KernelHandle, measure: GaussianMeasure | None,
     K = kernel.gram(unique)
     z = kernel.embedding(measure, unique)
     e0_sq = kernel.double_integral(measure)
+    subsets = [rng.choice(m, size=n, replace=False) for _ in range(m_boot)]
     total, max_nugget = 0.0, 0.0
-    for _ in range(m_boot):
-        idx = rng.choice(m, size=n, replace=False)
+    for idx in subsets:
         Ks = K.take(idx, 0).take(idx, 1)  # the idx-by-idx block
         zs = z[idx]
         L, nugget = chol_factor_with_nugget(Ks, policy)
-        w = cho_solve_lower(L, zs)
-        err = worst_case_error(Ks, zs, w, e0_sq)
+        err = worst_case_error(Ks, zs, cho_solve_lower(L, zs), e0_sq)
         total += err * err
         max_nugget = max(max_nugget, nugget)
     return total / m_boot, max_nugget

@@ -70,13 +70,28 @@ class GaussianKernel:
     def gram(self, X, Y=None) -> np.ndarray:
         """Pairwise kernel matrix, shape (n, m).
 
-        Assembled from explicit coordinate differences so that gram(X, X)
-        is exactly symmetric in floating point.
+        Built one coordinate at a time in a single (n, m) buffer, with no
+        (n, m, d) temporary: ((x_j - y_j) / ell_j)^2 is added for j = 0, 1,
+        ... in turn, then the sum is negated and exponentiated in place.
+        The differences are explicit, and x_i - x_k is exactly minus
+        x_k - x_i, so gram(X, X) is exactly symmetric in floating point.
+        For d <= 7 the left-to-right sum has the bits of numpy's last-axis
+        sum; from d = 8 numpy sums pairwise, so entries may differ from
+        that order by a few units in the last place of 1.
         """
         X = _as_batch(X, self.d)
         Y = X if Y is None else _as_batch(Y, self.d)
-        diff = (X[:, None, :] - Y[None, :, :]) / self.lengthscales
-        return np.exp(-np.sum(diff * diff, axis=-1))
+        S = None
+        for j, ell in enumerate(self.lengthscales):
+            D = np.subtract.outer(X[:, j], Y[:, j])
+            D /= ell
+            D *= D
+            if S is None:
+                S = D
+            else:
+                S += D
+        np.negative(S, out=S)
+        return np.exp(S, out=S)
 
     def embedding(self, measure: GaussianMeasure, X) -> np.ndarray:
         """Mean embedding int k(u, x) dPi(u) at each row of X, shape (n,).

@@ -10,8 +10,9 @@ escalating through a short geometric ladder.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special
@@ -71,23 +72,35 @@ class NuggetPolicy:
     system).  Each retry multiplies by ``growth``; a zero initial value
     escalates from a small fixed floor instead, since zero cannot grow.
     With ``scale_by_trace`` the jitter is multiplied by mean(diag(K)) so
-    that it is relative to the kernel's scale.
+    that it is relative to the kernel's scale.  The ladder is built once,
+    when the policy is made, which raises ValueError unless max_attempts
+    >= 1, growth is finite and > 1, and initial_jitter is finite and >= 0.
     """
 
     initial_jitter: float = 0.0
     growth: float = 10.0
     max_attempts: int = 6
     scale_by_trace: bool = True
+    _ladder: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def ladder(self) -> list[float]:
+    def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if not (math.isfinite(self.growth) and self.growth > 1.0):
+            raise ValueError("growth must be finite and exceed 1")
+        if not (math.isfinite(self.initial_jitter)
+                and self.initial_jitter >= 0.0):
+            raise ValueError("initial_jitter must be finite and >= 0")
         values = [self.initial_jitter]
         nxt = self.initial_jitter if self.initial_jitter > 0 else _JITTER_FLOOR
         while len(values) < self.max_attempts:
             values.append(nxt)
             nxt *= self.growth
-        return values
+        object.__setattr__(self, "_ladder", tuple(values))
+
+    def ladder(self) -> tuple[float, ...]:
+        """Jitters to try, in order, before scaling by the trace."""
+        return self._ladder
 
 
 DEFAULT_NUGGET = NuggetPolicy()
@@ -131,15 +144,22 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
+def row_keys(X: np.ndarray) -> np.ndarray:
+    """One opaque void scalar per row of a 2-D array, holding its bytes.
+
+    Rows are equal as keys exactly when they are equal bit for bit, so
+    -0.0 and +0.0 differ; ``row_keys(X).tolist()`` gives each row's bytes
+    as a hashable key.
+    """
+    X = np.ascontiguousarray(X)
+    return X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1])))[:, 0]
+
+
 def dedupe(points) -> np.ndarray:
     """Unique rows in order of first occurrence (bitwise comparison)."""
     X = _as_points(points)
-    seen = {}
-    for i in range(X.shape[0]):
-        key = X[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-    return X[np.fromiter(seen.values(), dtype=int)]
+    _, first = np.unique(row_keys(X), return_index=True)
+    return X[np.sort(first)]
 
 
 def _check_distinct(X):
@@ -159,11 +179,9 @@ def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET
     that copy.
     """
     n = K.shape[0]
-    scale = float(np.trace(K)) / n if policy.scale_by_trace else 1.0
-    tried = []
+    scale = float(K.trace()) / n if policy.scale_by_trace else 1.0
     for jitter in policy.ladder():
         effective = jitter * scale
-        tried.append(effective)
         if effective == 0.0:
             A = K
             L, info = dpotrf(A, lower=1, clean=1)
@@ -179,7 +197,8 @@ def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
         del A, L  # a failed attempt's buffers go before the next one
     diag = np.diag(K)
-    raise GramSingularError(tried, (float(diag.min()), float(diag.max())))
+    raise GramSingularError([jitter * scale for jitter in policy.ladder()],
+                            (float(diag.min()), float(diag.max())))
 
 
 def cho_solve_lower(L, b) -> np.ndarray:
@@ -208,21 +227,23 @@ def worst_case_error(K, z, w, e0_sq: float) -> float:
 
     The empty rule (n = 0) returns sqrt(e0_sq).  A quadratic form that
     comes out below -1e-8 through cancellation triggers a RuntimeWarning;
-    small negatives are clamped to zero.
+    small negatives are clamped to zero.  The form is summed in Python
+    floats in the order written: the bits of the same sum in numpy
+    scalars, at less cost per call (the bootstrap makes one per subset).
     """
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         return float(np.sqrt(e0_sq))
     K = np.asarray(K, dtype=float)
     z = np.asarray(z, dtype=float)
-    sq = float(w @ K @ w - 2.0 * (w @ z) + e0_sq)
+    sq = float(w @ K @ w) - 2.0 * float(w @ z) + e0_sq
     if sq < -1e-8:
         warnings.warn(
             f"squared worst-case error {sq:.3e} below -1e-8; "
             "Gram system is badly conditioned",
             RuntimeWarning,
         )
-    return float(np.sqrt(max(sq, 0.0)))
+    return math.sqrt(max(sq, 0.0))
 
 
 def kq_fit(kernel: KernelHandle, measure: GaussianMeasure | None, points,
@@ -293,11 +314,12 @@ def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
     selected = [seed_index]
     chosen = np.zeros(m, dtype=bool)
     chosen[seed_index] = True
-    keys = {C[seed_index].tobytes()}
+    row_key = row_keys(C).tolist()
+    keys = {row_key[seed_index]}
     while len(selected) < n:
         best_err, best_j = np.inf, -1
         for j in range(m):
-            if chosen[j] or C[j].tobytes() in keys:
+            if chosen[j] or row_key[j] in keys:
                 continue
             idx = selected + [j]
             K = K_full.take(idx, 0).take(idx, 1)  # the idx-by-idx block
@@ -313,7 +335,7 @@ def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
             raise GramSingularError([], (float("nan"), float("nan")))
         selected.append(best_j)
         chosen[best_j] = True
-        keys.add(C[best_j].tobytes())
+        keys.add(row_key[best_j])
     return np.asarray(selected, dtype=int)
 
 

@@ -22,7 +22,14 @@ from kquad.controller import (
 )
 from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from kquad.problems import ToyProblem, toy_integrand
-from kquad.quadrature import kq_fit, worst_case_error
+from kquad.controller import _bootstrap_error
+from kquad.quadrature import (
+    DEFAULT_NUGGET,
+    chol_factor_with_nugget,
+    dedupe,
+    kq_fit,
+    worst_case_error,
+)
 from kquad.smc import BoxUniform
 
 K1 = GaussianKernel([1.0])
@@ -92,6 +99,23 @@ def test_eval_cache_within_batch_duplicates():
     assert cache.points().shape == (2, 1)
 
 
+def test_eval_cache_keys_rows_bitwise():
+    calls = []
+
+    def f(X):
+        calls.append(X.copy())
+        return np.where(np.signbit(X[:, 0]), -1.0, 1.0)
+
+    cache = EvalCache()
+    X = np.array([[0.0, 2.0], [-0.0, 2.0], [0.0, 2.0]])
+    assert np.array_equal(cache.evaluate(f, X), [1.0, -1.0, 1.0])
+    assert len(calls) == 1 and calls[0].tobytes() == X[:2].tobytes()
+    assert np.array_equal(cache.evaluate(f, X[::-1]), [1.0, -1.0, 1.0])
+    assert len(calls) == 1
+    assert cache.points().tobytes() == X[:2].tobytes()
+    assert np.array_equal(cache.values(), [1.0, -1.0])
+
+
 def test_eval_cache_empty_points_raises():
     with pytest.raises(ValueError):
         EvalCache().points()
@@ -141,6 +165,54 @@ def test_crit_counts_unique_states():
         crit(K1, M1, states, n=4, m_boot=5, rng=np.random.default_rng(0))
     # n = 3 is fine: there are exactly 3 unique states
     crit(K1, M1, states, n=3, m_boot=5, rng=np.random.default_rng(0))
+
+
+def bootstrap_loop_oracle(kernel, measure, states, n, m_boot, rng, policy):
+    # the loop _bootstrap_error ran before it drew every subset first:
+    # draw one subset, fit it, score it with the numpy-scalar form, repeat
+    unique = dedupe(states)
+    K = kernel.gram(unique)
+    z = kernel.embedding(measure, unique)
+    e0_sq = kernel.double_integral(measure)
+    total, max_nugget = 0.0, 0.0
+    for _ in range(m_boot):
+        idx = rng.choice(unique.shape[0], size=n, replace=False)
+        Ks, zs = K[np.ix_(idx, idx)], z[idx]
+        L, nugget = chol_factor_with_nugget(Ks, policy)
+        w = scipy.linalg.cho_solve((L, True), zs)
+        sq = float(w @ Ks @ w - 2.0 * (w @ zs) + e0_sq)
+        err = float(np.sqrt(max(sq, 0.0)))
+        total += err * err
+        max_nugget = max(max_nugget, nugget)
+    return total / m_boot, max_nugget
+
+
+def bootstrap_cases():
+    rng = np.random.default_rng(9)
+    toy = rng.normal(0.0, 8.0, size=(300, 1))  # most subsets need a nugget
+    wide = rng.normal(0.0, 1.0, size=(120, 3))
+    stein = SteinKernel(GaussianKernel([0.8, 1.5, 2.0]),
+                        score=lambda X: -np.asarray(X))
+    return {
+        "toy-d1": (K1, M1, np.vstack([toy, toy[:40]]), 75),
+        "gauss-d3": (GaussianKernel([0.5, 1.0, 2.0]),
+                     GaussianMeasure(np.zeros(3), np.ones(3)), wide, 30),
+        "stein-d3": (stein, None, wide, 30),
+    }
+
+
+@pytest.mark.parametrize("case", ["toy-d1", "gauss-d3", "stein-d3"])
+def test_bootstrap_error_matches_per_subset_loop(case):
+    kernel, measure, states, n = bootstrap_cases()[case]
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    got = _bootstrap_error(kernel, measure, states, n, 20, rng_a,
+                           DEFAULT_NUGGET)
+    want = bootstrap_loop_oracle(kernel, measure, states, n, 20, rng_b,
+                                 DEFAULT_NUGGET)
+    assert got == want
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    if case == "toy-d1":
+        assert got[1] > 0.0  # the nugget ladder was climbed
 
 
 def test_crit_validation():

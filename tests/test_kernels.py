@@ -85,6 +85,48 @@ def test_gram_cross_matrix_shape():
             assert K[i, j] == pytest.approx(GaussianKernel([1.0, 1.0])(X[i], Y[j]), rel=1e-14)
 
 
+def broadcast_gaussian_gram(kernel, X, Y=None):
+    # the (n, m, d) broadcast assembly GaussianKernel.gram used before it
+    # summed coordinate by coordinate; kept as the oracle
+    Y = X if Y is None else Y
+    diff = (X[:, None, :] - Y[None, :, :]) / kernel.lengthscales
+    return np.exp(-np.sum(diff * diff, axis=-1))
+
+
+def gram_oracle_case(d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 2.0, size=(40, d))
+    X[5] = X[3]  # coincident rows give exact ones
+    X[7, 0] = -0.0
+    X[8, 0] = 0.0
+    Y = rng.normal(0.0, 2.0, size=(23, d))
+    return GaussianKernel(rng.uniform(0.3, 3.0, size=d)), X, Y
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_gaussian_gram_matches_broadcast_oracle_bitwise(d):
+    kern, X, Y = gram_oracle_case(d, seed=d)
+    K = kern.gram(X)
+    assert K.tobytes() == broadcast_gaussian_gram(kern, X).tobytes()
+    assert np.array_equal(K, K.T)
+    KXY = kern.gram(X, Y)
+    assert KXY.shape == (40, 23)
+    assert KXY.tobytes() == broadcast_gaussian_gram(kern, X, Y).tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_gaussian_gram_wide_within_ulps_of_broadcast_oracle(d):
+    # from d = 8 numpy's last-axis sum is pairwise, not left to right, so
+    # entries (all <= 1) may differ by a few units in the last place of 1
+    kern, X, Y = gram_oracle_case(d, seed=d)
+    eps = np.finfo(float).eps
+    K = kern.gram(X)
+    assert np.array_equal(K, K.T)
+    assert np.max(np.abs(K - broadcast_gaussian_gram(kern, X))) <= 4 * eps
+    KXY = kern.gram(X, Y)
+    assert np.max(np.abs(KXY - broadcast_gaussian_gram(kern, X, Y))) <= 4 * eps
+
+
 def test_invalid_lengthscales_rejected():
     with pytest.raises(ValueError):
         GaussianKernel([1.0, 0.0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -117,6 +118,24 @@ def test_worst_case_error_negative_clamp():
     assert e == 0.0
 
 
+def test_worst_case_error_matches_numpy_scalar_form():
+    # the form in numpy scalars, as worst_case_error computed it before it
+    # summed in Python floats; kept as the oracle
+    rng = np.random.default_rng(8)
+    for n, scale, _ in itertools.product((1, 5, 30, 75), (1e-6, 1.0, 1e3),
+                                         range(5)):
+        A = rng.normal(size=(n, n))
+        K = (A @ A.T) * scale
+        z = rng.normal(size=n) * scale
+        w = rng.normal(size=n)
+        # a positive form of varied size relative to its terms
+        e0_sq = abs(float(w @ K @ w)) * rng.uniform(0.1, 10.0) \
+            + 2.0 * abs(float(w @ z))
+        sq = float(w @ K @ w - 2.0 * (w @ z) + e0_sq)
+        want = float(np.sqrt(max(sq, 0.0)))
+        assert worst_case_error(K, z, w, e0_sq) == want
+
+
 def test_duplicate_points_rejected():
     with pytest.raises(DuplicatePointsError):
         kq_fit(K1, M1, [[0.5], [0.5]])
@@ -129,6 +148,36 @@ def test_dedupe_bitwise_first_occurrence():
     out = dedupe(X)
     assert out.shape == (3, 1)
     assert out[0, 0] == a and out[1, 0] == b and out[2, 0] == 2.0
+
+
+def dedupe_dict_oracle(X):
+    # the dict-of-row-bytes dedupe that np.unique on row keys replaced
+    seen = {}
+    for i in range(X.shape[0]):
+        seen.setdefault(X[i].tobytes(), i)
+    return X[np.fromiter(seen.values(), dtype=int)]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_dedupe_matches_dict_oracle(d):
+    rng = np.random.default_rng(d)
+    pool = rng.normal(size=(12, d))
+    pool[0] = 0.0
+    pool[1] = -0.0  # bitwise distinct from the +0.0 row
+    pool[2, 0] = -0.0
+    pool[3] = pool[2]
+    pool[3, 0] = 0.0
+    X = pool[rng.integers(0, 12, size=200)]
+    out = dedupe(X)
+    assert out.tobytes() == dedupe_dict_oracle(X).tobytes()
+    assert out.shape == (len({row.tobytes() for row in X}), d)
+
+
+def test_dedupe_keeps_signed_zero_rows_apart():
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+    out = dedupe(X)
+    assert out.shape == (2, 2)
+    assert not np.signbit(out[0, 0]) and np.signbit(out[1, 0])
 
 
 def test_mc_estimate_is_mean():
@@ -195,6 +244,22 @@ def test_nugget_policy_ladder():
     assert ladder[1] == pytest.approx(1e-11)
     assert len(ladder) == 6
     assert all(b > a for a, b in zip(ladder[1:], ladder[2:]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_attempts": 0},
+    {"max_attempts": -3},
+    {"growth": 1.0},
+    {"growth": 0.5},
+    {"growth": float("nan")},
+    {"growth": float("inf")},
+    {"initial_jitter": -1e-12},
+    {"initial_jitter": float("nan")},
+    {"initial_jitter": float("inf")},
+])
+def test_nugget_policy_rejects_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        NuggetPolicy(**kwargs)
 
 
 # --- greedy minimum-error point selection ---

@@ -124,6 +124,108 @@ def test_next_temperature_matches_brentq_oracle():
     assert got > system.t
 
 
+def cess_from_ratios_oracle(weights, log_ratio, dt, n):
+    # the per-evaluation CESS next_temperature called before the parts that
+    # do not depend on t were computed once per solve; kept as the oracle
+    a = dt * log_ratio if dt > 0.0 else np.zeros_like(log_ratio)
+    finite = np.isfinite(a)
+    if not np.any(finite & (weights > 0)):
+        raise DegenerateWeightsError("no particle carries weight after increment")
+    m = np.max(a[finite]) if np.any(finite) else 0.0
+    u = np.where(finite, np.exp(a - m), 0.0)
+    num = float(np.sum(weights * u)) ** 2
+    den = float(np.sum(weights * u * u))
+    if den == 0.0:
+        raise DegenerateWeightsError("incremental weights all vanished")
+    return n * num / den
+
+
+def next_temperature_oracle(system, log_ratio, rho, delta):
+    n = system.n_particles
+    level = rho * n
+
+    def g(t):
+        return cess_from_ratios_oracle(system.weights, log_ratio,
+                                       t - system.t, n)
+
+    if g(1.0) >= level:
+        solved = 1.0
+    else:
+        lo, hi = system.t, 1.0
+        while hi - lo > 1e-8:
+            mid = 0.5 * (lo + hi)
+            if g(mid) >= level:
+                lo = mid
+            else:
+                hi = mid
+        solved = 0.5 * (lo + hi)
+    return min(system.t + delta, solved)
+
+
+def boxed_target_with_holes():
+    # -inf log-ratios both outside the support box and inside it (x_1 > 2)
+    def log_target(X):
+        out = -0.5 * np.sum((X - 0.7) ** 2, axis=1) / 0.3
+        return np.where(X[:, 1] > 2.0, -np.inf, out)
+    return TemperedTarget(log_ref=lambda X: -0.5 * np.sum(X * X, axis=1) / 4.0,
+                          log_target=log_target,
+                          support=(np.full(2, -3.0), np.full(2, 3.0)))
+
+
+def random_system(rng, carried_target=None):
+    n = int(rng.integers(20, 300))
+    states = rng.normal(0.0, 2.0, size=(n, 2))
+    weights = rng.exponential(size=n)
+    weights[rng.uniform(size=n) < 0.2] = 0.0
+    weights /= weights.sum()
+    t = float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+    densities = {} if carried_target is None else dict(zip(
+        ("log_ref", "log_target"), carried_target.densities(states)))
+    return ParticleSystem(states=states, weights=weights, t=t, **densities)
+
+
+def oracle_log_ratio(system, target):
+    log_ref, log_target = target.densities(system.states)
+    inside = target.in_support(system.states)
+    lr = np.full(system.n_particles, -np.inf)
+    lr[inside] = log_target[inside] - log_ref[inside]
+    return lr
+
+
+def test_next_temperature_and_cess_match_per_call_oracle():
+    target = boxed_target_with_holes()
+    rng = np.random.default_rng(2024)
+    solved = 0
+    for i in range(60):
+        system = random_system(rng, target if i % 2 else None)
+        lr = oracle_log_ratio(system, target)
+        assert np.any(np.isneginf(lr)) and np.any(system.weights == 0.0)
+        rho = float(rng.choice([0.5, 0.9, 0.99]))
+        delta = float(rng.choice([0.05, 1.0]))
+        got = next_temperature(system, target, rho, delta)
+        assert got == next_temperature_oracle(system, lr, rho, delta)
+        solved += got < min(system.t + delta, 1.0)
+        for t in (system.t, 0.5 * (system.t + got), got, 1.0):
+            assert cess(system, target, t) == cess_from_ratios_oracle(
+                system.weights, lr, t - system.t, system.n_particles)
+    assert solved >= 10  # interior roots, not only caps
+
+
+def test_next_temperature_degenerate_like_per_call_oracle():
+    target = boxed_target_with_holes()
+    # every weighted particle sits where the ratio is -inf
+    states = np.array([[5.0, 0.0], [0.0, 2.5], [0.0, 0.0]])
+    system = ParticleSystem(states=states, weights=np.array([0.5, 0.5, 0.0]),
+                            t=0.2)
+    lr = oracle_log_ratio(system, target)
+    with pytest.raises(DegenerateWeightsError):
+        next_temperature_oracle(system, lr, 0.9, 0.1)
+    with pytest.raises(DegenerateWeightsError):
+        next_temperature(system, target, 0.9, 0.1)
+    assert cess(system, target, 0.2) == cess_from_ratios_oracle(
+        system.weights, lr, 0.0, 3)
+
+
 def test_next_temperature_validation():
     sys2 = system_2(0.5, 0.5)
     with pytest.raises(ValueError):
