@@ -14,7 +14,6 @@ from .kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from .quadrature import (
     DuplicatePointsError,
     GramSingularError,
-    NuggetPolicy,
     QuadratureRule,
     gaussian_inverse_cdf,
     halton_points,
@@ -53,7 +52,7 @@ __all__ = [
     # kernels and measures
     "GaussianKernel", "GaussianMeasure", "SteinKernel", "BoxUniform",
     # quadrature rules and baselines
-    "NuggetPolicy", "QuadratureRule", "kq_fit", "kq_estimate",
+    "QuadratureRule", "kq_fit", "kq_estimate",
     "sbq_greedy_select", "halton_points", "gaussian_inverse_cdf",
     # adaptive estimators
     "ProposalPolicy", "ADAPTIVE_LOGNORMAL", "RunReport", "smc_kq",

@@ -24,17 +24,14 @@ import numpy as np
 
 from .kernels import KernelHandle, GaussianKernel, GaussianMeasure
 from .quadrature import (
-    DEFAULT_NUGGET,
     GramSingularError,
-    NuggetPolicy,
     chol_factor_with_nugget,
-    cho_solve_lower,
     dedupe,
+    fit_weights,
     kq_estimate,
     kq_fit,
     row_keys,
     solve_lower,
-    worst_case_error,
 )
 from .smc import (
     ParticleSystem,
@@ -53,12 +50,10 @@ __all__ = [
     "KernelFamily",
     "InsufficientStatesError",
     "gaussian_lengthscale_family",
-    "crit",
     "trend_test",
     "select_rule_entry",
     "kern_param_fit",
     "marginal_likelihood_objective",
-    "crit_kl",
     "smc_kq",
     "smc_kq_kl",
     "temperature_error_profile",
@@ -174,8 +169,7 @@ def _unique_states(states: np.ndarray, n: int) -> np.ndarray:
 
 def _bootstrap_error(kernel: KernelHandle, measure: GaussianMeasure | None,
                      states: np.ndarray, n: int, m_boot: int,
-                     rng: np.random.Generator,
-                     policy: NuggetPolicy) -> tuple[float, float]:
+                     rng: np.random.Generator) -> tuple[float, float]:
     """Mean squared worst-case error over random size-n subsets.
 
     Returns (mean of e_n^2, max nugget used).  The Gram matrix and
@@ -197,26 +191,10 @@ def _bootstrap_error(kernel: KernelHandle, measure: GaussianMeasure | None,
     total, max_nugget = 0.0, 0.0
     for idx in subsets:
         Ks = K.take(idx, 0).take(idx, 1)  # the idx-by-idx block
-        zs = z[idx]
-        L, nugget = chol_factor_with_nugget(Ks, policy)
-        err = worst_case_error(Ks, zs, cho_solve_lower(L, zs), e0_sq)
+        _, err, nugget = fit_weights(Ks, z[idx], e0_sq)
         total += err * err
         max_nugget = max(max_nugget, nugget)
     return total / m_boot, max_nugget
-
-
-def crit(kernel: KernelHandle, measure: GaussianMeasure | None, states,
-         n: int, m_boot: int, rng: np.random.Generator,
-         policy: NuggetPolicy = DEFAULT_NUGGET) -> float:
-    """Bootstrap estimate of the error a size-n rule would achieve.
-
-    Draws m_boot subsets of n unique states uniformly without
-    replacement, fits quadrature weights on each, and returns the root
-    mean of the squared worst-case errors.
-    """
-    mean_sq, _ = _bootstrap_error(kernel, measure, np.asarray(states, float),
-                                  n, m_boot, rng, policy)
-    return float(np.sqrt(mean_sq))
 
 
 def _slope(ts: np.ndarray, errs: np.ndarray) -> float:
@@ -280,14 +258,17 @@ def gaussian_lengthscale_family(d: int = 1, low: float = 0.05,
     )
 
 
-def marginal_likelihood_objective(f_values, points, kernel: KernelHandle,
-                                  policy: NuggetPolicy = DEFAULT_NUGGET) -> float:
+def _whiten(kernel: KernelHandle, points: np.ndarray, f: np.ndarray):
+    """(L^-1 f, L) for the nugget Cholesky factor L of the Gram on points."""
+    L, _ = chol_factor_with_nugget(kernel.gram(points))
+    return solve_lower(L, f), L
+
+
+def marginal_likelihood_objective(f_values, points,
+                                  kernel: KernelHandle) -> float:
     """f'(K + nugget I)^-1 f + log det(K + nugget I) via Cholesky."""
-    f = np.asarray(f_values, dtype=float)
-    X = np.asarray(points, dtype=float)
-    K = kernel.gram(X)
-    L, _ = chol_factor_with_nugget(K, policy)
-    half = solve_lower(L, f)
+    half, L = _whiten(kernel, np.asarray(points, dtype=float),
+                      np.asarray(f_values, dtype=float))
     return float(half @ half) + 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
@@ -341,7 +322,6 @@ def _line_minimize(fun, lo, hi, tol=1e-3):
 
 
 def kern_param_fit(f_values, points, family: KernelFamily,
-                   policy: NuggetPolicy = DEFAULT_NUGGET,
                    cycles: int = 3) -> np.ndarray:
     """Marginal-likelihood kernel parameters on the given evaluations.
 
@@ -363,7 +343,7 @@ def kern_param_fit(f_values, points, family: KernelFamily,
 
     def objective(log_p):
         kernel = family.build(np.exp(log_p))
-        return marginal_likelihood_objective(f, X, kernel, policy)
+        return marginal_likelihood_objective(f, X, kernel)
 
     log_p = np.asarray([0.5 * (lo + hi) for lo, hi in bounds])
     if len(bounds) == 1:
@@ -391,40 +371,18 @@ def kern_param_fit(f_values, points, family: KernelFamily,
 
 def _kl_error(kernel: KernelHandle, measure: GaussianMeasure | None,
               states: np.ndarray, f_vals: np.ndarray, n: int, m_boot: int,
-              rng: np.random.Generator,
-              policy: NuggetPolicy) -> tuple[float, float]:
+              rng: np.random.Generator) -> tuple[float, float]:
     """Bootstrap error times sqrt(f' K^-1 f) on the first n rows of states.
 
-    f_vals are the integrand values at those rows.  Returns (statistic,
-    max nugget of the bootstrap); crit_kl and smc_kq_kl both use it.
+    f_vals are the integrand values at those rows, so the statistic
+    scales linearly with the integrand.  Returns (statistic, max nugget
+    of the bootstrap).
     """
     mean_sq, max_nugget = _bootstrap_error(kernel, measure, states, n, m_boot,
-                                           rng, policy)
-    K = kernel.gram(states[:n])
-    L, _ = chol_factor_with_nugget(K, policy)
-    half = solve_lower(L, f_vals)
+                                           rng)
+    half, _ = _whiten(kernel, states[:n], f_vals)
     norm_sq = float(half @ half)
     return float(np.sqrt(mean_sq) * np.sqrt(max(norm_sq, 0.0))), max_nugget
-
-
-def crit_kl(cache: EvalCache, f: Callable[[np.ndarray], np.ndarray],
-            kernel: KernelHandle, measure: GaussianMeasure | None, states,
-            n: int, m_boot: int, rng: np.random.Generator,
-            policy: NuggetPolicy = DEFAULT_NUGGET) -> float:
-    """Error statistic scaled by the interpolant norm of the integrand.
-
-    The first n rows of states are the designated kernel-learning subset;
-    their integrand values come from the cache (evaluating on miss).  The
-    statistic is crit(...) times sqrt(f' K^-1 f) on that subset, so it
-    scales linearly with the integrand.
-    """
-    states = np.asarray(states, dtype=float)
-    if states.shape[0] < n:
-        raise InsufficientStatesError(f"need at least {n} states")
-    f_vals = cache.evaluate(f, states[:n])
-    stat, _ = _kl_error(kernel, measure, states, f_vals, n, m_boot, rng,
-                        policy)
-    return stat
 
 
 def _run_ladder(target: TemperedTarget, reference, rho: float, delta: float,
@@ -458,12 +416,11 @@ def _run_ladder(target: TemperedTarget, reference, rho: float, delta: float,
 
 
 def _error_record(kernel: KernelHandle, measure: GaussianMeasure | None,
-                  n: int, m_boot: int, rng: np.random.Generator,
-                  policy: NuggetPolicy):
+                  n: int, m_boot: int, rng: np.random.Generator):
     """record(system) -> TraceEntry of the bootstrap error statistic."""
     def record(system: ParticleSystem) -> TraceEntry:
         mean_sq, max_nugget = _bootstrap_error(
-            kernel, measure, system.states, n, m_boot, rng, policy)
+            kernel, measure, system.states, n, m_boot, rng)
         return TraceEntry(t=system.t, error=float(np.sqrt(mean_sq)),
                           nugget=max_nugget)
     return record
@@ -477,7 +434,6 @@ def smc_kq(f: Callable[[np.ndarray], np.ndarray],
            n: int, n_particles: int, rho: float = 0.95, delta: float = 0.1,
            m_boot: int = 20,
            proposal: ProposalPolicy = ProposalPolicy(),
-           nugget: NuggetPolicy = DEFAULT_NUGGET,
            sweeps: int = 1, max_steps: int = 1000,
            terminate_early: bool = True, seed: int = 0) -> RunReport:
     """Adaptively tempered kernel quadrature with a fixed kernel.
@@ -516,7 +472,7 @@ def smc_kq(f: Callable[[np.ndarray], np.ndarray],
     rng = np.random.default_rng(seed)
     target = TemperedTarget(log_ref=reference.log_density,
                             log_target=log_target, support=support)
-    record = _error_record(kernel, measure, n, m_boot, rng, nugget)
+    record = _error_record(kernel, measure, n, m_boot, rng)
     trace, snapshots = _run_ladder(target, reference, rho, delta, n_particles,
                                    proposal, rng, sweeps, max_steps, record,
                                    terminate_early)
@@ -524,7 +480,7 @@ def smc_kq(f: Callable[[np.ndarray], np.ndarray],
     chosen = select_rule_entry(trace) if terminate_early else len(trace) - 1
     unique = _unique_states(snapshots[chosen].states, n)
     nodes = unique[rng.choice(unique.shape[0], size=n, replace=False)]
-    rule = kq_fit(kernel, measure, nodes, nugget)
+    rule = kq_fit(kernel, measure, nodes)
     estimate = kq_estimate(rule, f(nodes))
     return RunReport(estimate=estimate, t_star=trace.entries[chosen].t,
                      n_quadrature_points=n, total_f_evals=n, trace=trace,
@@ -539,7 +495,6 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
               n: int, n_particles: int, rho: float = 0.95, delta: float = 0.1,
               m_boot: int = 20,
               proposal: ProposalPolicy = ProposalPolicy(),
-              nugget: NuggetPolicy = DEFAULT_NUGGET,
               sweeps: int = 1, max_steps: int = 1000, refit_every: int = 1,
               terminate_early: bool = True, seed: int = 0) -> RunReport:
     """Adaptively tempered kernel quadrature with kernel learning.
@@ -572,7 +527,7 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
         subset = unique[idx]
         f_sub = cache.evaluate(f, subset)
         if state["params"] is None or state["since_fit"] >= refit_every:
-            state["params"] = kern_param_fit(f_sub, subset, family, nugget)
+            state["params"] = kern_param_fit(f_sub, subset, family)
             state["since_fit"] = 0
         state["since_fit"] += 1
         kernel = family.build(state["params"])
@@ -581,7 +536,7 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
                                    assume_unique=False)]
         stat, max_nugget = _kl_error(kernel, measure,
                                      np.vstack([subset, rest]), f_sub, n,
-                                     m_boot, rng, nugget)
+                                     m_boot, rng)
         return TraceEntry(t=system.t, error=stat, nugget=max_nugget)
 
     trace, _ = _run_ladder(target, reference, rho, delta, n_particles,
@@ -591,7 +546,7 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
     params = state["entry_params"][chosen]
     kernel = family.build(params)
     points = cache.points()
-    rule = kq_fit(kernel, measure, points, nugget)
+    rule = kq_fit(kernel, measure, points)
     estimate = kq_estimate(rule, cache.values())
     return RunReport(estimate=estimate, t_star=trace.entries[chosen].t,
                      n_quadrature_points=points.shape[0],
@@ -607,7 +562,6 @@ def temperature_error_profile(log_target: Callable[[np.ndarray], np.ndarray],
                               n: int, n_particles: int, rho: float = 0.95,
                               m_boot: int = 20,
                               proposal: ProposalPolicy = ProposalPolicy(),
-                              nugget: NuggetPolicy = DEFAULT_NUGGET,
                               sweeps: int = 1, seed: int = 0):
     """Error statistic along a fixed temperature ladder.
 
@@ -624,7 +578,7 @@ def temperature_error_profile(log_target: Callable[[np.ndarray], np.ndarray],
     rng = np.random.default_rng(seed)
     target = TemperedTarget(log_ref=reference.log_density,
                             log_target=log_target, support=support)
-    record = _error_record(kernel, measure, n, m_boot, rng, nugget)
+    record = _error_record(kernel, measure, n, m_boot, rng)
     return _run_ladder(target, reference, rho, None, n_particles, proposal,
                        rng, sweeps, max_steps=len(ladder), record=record,
                        terminate_early=False, ladder=ladder)

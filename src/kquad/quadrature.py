@@ -30,7 +30,6 @@ __all__ = [
     "kq_fit",
     "kq_estimate",
     "worst_case_error",
-    "mc_estimate",
     "sbq_greedy_select",
     "halton_points",
     "gaussian_inverse_cdf",
@@ -69,8 +68,8 @@ class NuggetPolicy:
     """Escalating diagonal jitter for Gram factorisations.
 
     The first attempt uses ``initial_jitter`` (default 0, i.e. the exact
-    system).  Each retry multiplies by ``growth``; a zero initial value
-    escalates from a small fixed floor instead, since zero cannot grow.
+    system).  Each retry multiplies the last jitter by ``growth``; after a
+    zero the ladder starts from a small fixed floor, since zero cannot grow.
     With ``scale_by_trace`` the jitter is multiplied by mean(diag(K)) so
     that it is relative to the kernel's scale.  The ladder is built once,
     when the policy is made, which raises ValueError unless max_attempts
@@ -92,10 +91,9 @@ class NuggetPolicy:
                 and self.initial_jitter >= 0.0):
             raise ValueError("initial_jitter must be finite and >= 0")
         values = [self.initial_jitter]
-        nxt = self.initial_jitter if self.initial_jitter > 0 else _JITTER_FLOOR
         while len(values) < self.max_attempts:
-            values.append(nxt)
-            nxt *= self.growth
+            values.append(values[-1] * self.growth if values[-1] > 0
+                          else _JITTER_FLOOR)
         object.__setattr__(self, "_ladder", tuple(values))
 
     def ladder(self) -> tuple[float, ...]:
@@ -217,11 +215,6 @@ def solve_lower(L, b) -> np.ndarray:
     return x
 
 
-def _solve_weights(K, z, policy):
-    L, nugget = chol_factor_with_nugget(K, policy)
-    return cho_solve_lower(L, z), nugget, L
-
-
 def worst_case_error(K, z, w, e0_sq: float) -> float:
     """Worst-case error of weights w: sqrt(w'Kw - 2 w'z + e0^2).
 
@@ -246,8 +239,20 @@ def worst_case_error(K, z, w, e0_sq: float) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-def kq_fit(kernel: KernelHandle, measure: GaussianMeasure | None, points,
-           policy: NuggetPolicy = DEFAULT_NUGGET) -> QuadratureRule:
+def fit_weights(K, z, e0_sq: float):
+    """Weights of the rule on one Gram block: (w, worst-case error, nugget).
+
+    Solves (K + nugget*I) w = z with the factor of chol_factor_with_nugget,
+    so the nugget is 0 unless the plain factorisation fails, and scores w
+    with worst_case_error.  Raises GramSingularError as the factor does.
+    """
+    L, nugget = chol_factor_with_nugget(K)
+    w = cho_solve_lower(L, z)
+    return w, worst_case_error(K, z, w, e0_sq), nugget
+
+
+def kq_fit(kernel: KernelHandle, measure: GaussianMeasure | None,
+           points) -> QuadratureRule:
     """Fit kernel quadrature weights on the given points.
 
     Parameters
@@ -258,16 +263,13 @@ def kq_fit(kernel: KernelHandle, measure: GaussianMeasure | None, points,
         are constant).
     points : array_like, shape (n, d)
         Distinct evaluation locations.
-    policy : NuggetPolicy
-        Jitter escalation used if the plain factorisation fails.
     """
     X = _as_points(points)
     _check_distinct(X)
     K = kernel.gram(X)
     z = kernel.embedding(measure, X)
     e0_sq = kernel.double_integral(measure)
-    w, nugget, _ = _solve_weights(K, z, policy)
-    err = worst_case_error(K, z, w, e0_sq)
+    w, err, nugget = fit_weights(K, z, e0_sq)
     return QuadratureRule(points=X, weights=w, embeddings=z,
                           worst_case_error=err, nugget_used=nugget,
                           e0_sq=e0_sq)
@@ -283,17 +285,8 @@ def kq_estimate(rule: QuadratureRule, f_values) -> float:
     return float(rule.weights @ f)
 
 
-def mc_estimate(f_values) -> float:
-    """Plain Monte Carlo estimate: the sample mean."""
-    f = np.asarray(f_values, dtype=float)
-    if f.size == 0:
-        raise ValueError("mc_estimate needs at least one value")
-    return float(np.mean(f))
-
-
 def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
-                      candidates, n: int, seed_index: int = 0,
-                      policy: NuggetPolicy = DEFAULT_NUGGET) -> np.ndarray:
+                      candidates, n: int, seed_index: int = 0) -> np.ndarray:
     """Greedy point selection minimising the worst-case error.
 
     Starting from the seed candidate, repeatedly appends the candidate
@@ -323,12 +316,10 @@ def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
                 continue
             idx = selected + [j]
             K = K_full.take(idx, 0).take(idx, 1)  # the idx-by-idx block
-            z = z_full[idx]
             try:
-                w, _, _ = _solve_weights(K, z, policy)
+                _, err, _ = fit_weights(K, z_full[idx], e0_sq)
             except GramSingularError:
                 continue
-            err = worst_case_error(K, z, w, e0_sq)
             if err < best_err:
                 best_err, best_j = err, j
         if best_j < 0:

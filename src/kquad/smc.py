@@ -312,8 +312,8 @@ def cess(system: ParticleSystem, target: TemperedTarget,
     N (sum w_j u_j)^2 / sum w_j u_j^2, computed with max-subtraction in
     log space; the common scale cancels exactly.
     """
-    if t_candidate < system.t:
-        raise ValueError("t_candidate must not decrease the temperature")
+    if not system.t <= t_candidate <= 1.0:
+        raise ValueError("t_candidate must lie between the temperature and 1")
     lr = _log_ratio(*_densities(system, target))
     return _cess_curve(system.weights, lr)(t_candidate - system.t)
 

@@ -2,12 +2,15 @@
 scripts and the README import from ``kquad``."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import kquad
+import kquad.controller
+import kquad.quadrature
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
@@ -45,3 +48,16 @@ def test_all_resolves_without_duplicates():
     assert len(set(kquad.__all__)) == len(kquad.__all__) <= 40
     for name in kquad.__all__:
         getattr(kquad, name)
+
+
+def test_no_nugget_knob_above_the_factor():
+    # the jitter ladder is fixed below chol_factor_with_nugget
+    assert "NuggetPolicy" not in kquad.__all__
+    for module in (kquad, kquad.controller, kquad.quadrature):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not inspect.isfunction(obj) or name == "chol_factor_with_nugget":
+                continue
+            params = inspect.signature(obj).parameters
+            assert not {"nugget", "policy"} & set(params), \
+                f"{module.__name__}.{name} takes a nugget knob"

@@ -9,8 +9,6 @@ from kquad.controller import (
     EvalCache,
     InsufficientStatesError,
     TraceEntry,
-    crit,
-    crit_kl,
     gaussian_lengthscale_family,
     kern_param_fit,
     marginal_likelihood_objective,
@@ -22,9 +20,8 @@ from kquad.controller import (
 )
 from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from kquad.problems import ToyProblem, toy_integrand
-from kquad.controller import _bootstrap_error
+from kquad.controller import _bootstrap_error, _kl_error
 from kquad.quadrature import (
-    DEFAULT_NUGGET,
     chol_factor_with_nugget,
     dedupe,
     kq_fit,
@@ -124,11 +121,18 @@ def test_eval_cache_empty_points_raises():
 # --- bootstrap error statistic ---
 
 
+def bootstrap_rms(kernel, measure, states, n, m_boot, rng):
+    # root mean squared worst-case error of the bootstrap
+    return float(np.sqrt(_bootstrap_error(kernel, measure, states, n, m_boot,
+                                          rng)[0]))
+
+
 def test_crit_full_subset_equals_rule_error():
     rng = np.random.default_rng(0)
     states = spread_states(rng, 6)
     rule = kq_fit(K1, M1, states)
-    got = crit(K1, M1, states, n=6, m_boot=1, rng=np.random.default_rng(1))
+    got = bootstrap_rms(K1, M1, states, n=6, m_boot=1,
+                        rng=np.random.default_rng(1))
     assert got == pytest.approx(rule.worst_case_error, rel=1e-12)
 
 
@@ -146,7 +150,8 @@ def test_crit_matches_subset_enumeration_oracle():
         sq_errors.append(worst_case_error(Ks, zs, w, e0_sq) ** 2)
     mu, sigma = float(np.mean(sq_errors)), float(np.std(sq_errors))
 
-    got = crit(K1, M1, states, n=2, m_boot=4000, rng=np.random.default_rng(3))
+    got = bootstrap_rms(K1, M1, states, n=2, m_boot=4000,
+                        rng=np.random.default_rng(3))
     assert abs(got**2 - mu) < 4.0 * sigma / np.sqrt(4000)
 
 
@@ -155,19 +160,21 @@ def test_crit_bounded_by_initial_error():
     states = spread_states(rng, 12)
     e0 = np.sqrt(K1.double_integral(M1))
     for n in (1, 3, 6):
-        got = crit(K1, M1, states, n=n, m_boot=50, rng=rng)
+        got = bootstrap_rms(K1, M1, states, n=n, m_boot=50, rng=rng)
         assert got <= e0 + 1e-8
 
 
 def test_crit_counts_unique_states():
     states = np.array([[0.0], [1.0], [0.0], [1.0], [2.0]])
     with pytest.raises(InsufficientStatesError):
-        crit(K1, M1, states, n=4, m_boot=5, rng=np.random.default_rng(0))
+        bootstrap_rms(K1, M1, states, n=4, m_boot=5,
+                      rng=np.random.default_rng(0))
     # n = 3 is fine: there are exactly 3 unique states
-    crit(K1, M1, states, n=3, m_boot=5, rng=np.random.default_rng(0))
+    bootstrap_rms(K1, M1, states, n=3, m_boot=5,
+                  rng=np.random.default_rng(0))
 
 
-def bootstrap_loop_oracle(kernel, measure, states, n, m_boot, rng, policy):
+def bootstrap_loop_oracle(kernel, measure, states, n, m_boot, rng):
     # the loop _bootstrap_error ran before it drew every subset first:
     # draw one subset, fit it, score it with the numpy-scalar form, repeat
     unique = dedupe(states)
@@ -178,7 +185,7 @@ def bootstrap_loop_oracle(kernel, measure, states, n, m_boot, rng, policy):
     for _ in range(m_boot):
         idx = rng.choice(unique.shape[0], size=n, replace=False)
         Ks, zs = K[np.ix_(idx, idx)], z[idx]
-        L, nugget = chol_factor_with_nugget(Ks, policy)
+        L, nugget = chol_factor_with_nugget(Ks)
         w = scipy.linalg.cho_solve((L, True), zs)
         sq = float(w @ Ks @ w - 2.0 * (w @ zs) + e0_sq)
         err = float(np.sqrt(max(sq, 0.0)))
@@ -205,10 +212,8 @@ def bootstrap_cases():
 def test_bootstrap_error_matches_per_subset_loop(case):
     kernel, measure, states, n = bootstrap_cases()[case]
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    got = _bootstrap_error(kernel, measure, states, n, 20, rng_a,
-                           DEFAULT_NUGGET)
-    want = bootstrap_loop_oracle(kernel, measure, states, n, 20, rng_b,
-                                 DEFAULT_NUGGET)
+    got = _bootstrap_error(kernel, measure, states, n, 20, rng_a)
+    want = bootstrap_loop_oracle(kernel, measure, states, n, 20, rng_b)
     assert got == want
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     if case == "toy-d1":
@@ -218,9 +223,11 @@ def test_bootstrap_error_matches_per_subset_loop(case):
 def test_crit_validation():
     states = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        crit(K1, M1, states, n=0, m_boot=5, rng=np.random.default_rng(0))
+        bootstrap_rms(K1, M1, states, n=0, m_boot=5,
+                      rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        crit(K1, M1, states, n=1, m_boot=0, rng=np.random.default_rng(0))
+        bootstrap_rms(K1, M1, states, n=1, m_boot=0,
+                      rng=np.random.default_rng(0))
 
 
 # --- termination and selection ---
@@ -354,6 +361,12 @@ def test_kern_param_fit_anisotropic_descent():
 # --- scaled error statistic for kernel learning ---
 
 
+def kl_statistic(cache, f, kernel, measure, states, n, m_boot, rng):
+    # the statistic on the first n states, their values read through cache
+    f_vals = cache.evaluate(f, states[:n])
+    return _kl_error(kernel, measure, states, f_vals, n, m_boot, rng)[0]
+
+
 def test_crit_kl_homogeneous_in_integrand():
     rng = np.random.default_rng(8)
     states = spread_states(rng, 10)
@@ -361,14 +374,15 @@ def test_crit_kl_homogeneous_in_integrand():
     def f(X):
         return np.sin(X[:, 0]) + 0.3
 
-    base = crit_kl(EvalCache(), f, K1, M1, states, n=4, m_boot=10,
-                   rng=np.random.default_rng(9))
+    base = kl_statistic(EvalCache(), f, K1, M1, states, n=4, m_boot=10,
+                        rng=np.random.default_rng(9))
     for c in (-3.0, 0.5, 2.0):
-        scaled = crit_kl(EvalCache(), lambda X, c=c: c * f(X), K1, M1, states,
-                         n=4, m_boot=10, rng=np.random.default_rng(9))
+        scaled = kl_statistic(EvalCache(), lambda X, c=c: c * f(X), K1, M1,
+                              states, n=4, m_boot=10,
+                              rng=np.random.default_rng(9))
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
-    zero = crit_kl(EvalCache(), lambda X: np.zeros(X.shape[0]), K1, M1,
-                   states, n=4, m_boot=10, rng=np.random.default_rng(9))
+    zero = kl_statistic(EvalCache(), lambda X: np.zeros(X.shape[0]), K1, M1,
+                        states, n=4, m_boot=10, rng=np.random.default_rng(9))
     assert zero == 0.0
 
 
@@ -382,16 +396,16 @@ def test_crit_kl_uses_cache_and_validates():
         return X[:, 0]
 
     cache = EvalCache()
-    crit_kl(cache, f, K1, M1, states, n=3, m_boot=5,
-            rng=np.random.default_rng(0))
+    kl_statistic(cache, f, K1, M1, states, n=3, m_boot=5,
+                 rng=np.random.default_rng(0))
     assert calls == [3]
     assert len(cache) == 3
-    crit_kl(cache, f, K1, M1, states, n=3, m_boot=5,
-            rng=np.random.default_rng(1))
+    kl_statistic(cache, f, K1, M1, states, n=3, m_boot=5,
+                 rng=np.random.default_rng(1))
     assert calls == [3]  # same leading subset: fully served by the cache
     with pytest.raises(InsufficientStatesError):
-        crit_kl(cache, f, K1, M1, states[:2], n=3, m_boot=5,
-                rng=np.random.default_rng(0))
+        kl_statistic(cache, f, K1, M1, states[:2], n=3, m_boot=5,
+                     rng=np.random.default_rng(0))
 
 
 # --- adaptive drivers ---

@@ -7,22 +7,20 @@ import scipy.linalg
 
 from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from kquad.quadrature import (
-    DEFAULT_NUGGET,
     DuplicatePointsError,
     GramSingularError,
     NuggetPolicy,
     chol_factor_with_nugget,
     dedupe,
+    fit_weights,
     gaussian_inverse_cdf,
     halton_points,
     kq_estimate,
     kq_fit,
-    mc_estimate,
     sbq_greedy_select,
     solve_lower,
     worst_case_error,
 )
-from kquad.quadrature import _solve_weights
 
 K1 = GaussianKernel([1.0])
 M1 = GaussianMeasure([0.0], [1.0])
@@ -180,11 +178,6 @@ def test_dedupe_keeps_signed_zero_rows_apart():
     assert not np.signbit(out[0, 0]) and np.signbit(out[1, 0])
 
 
-def test_mc_estimate_is_mean():
-    vals = [1.0, 2.0, 4.0]
-    assert mc_estimate(vals) == pytest.approx(7.0 / 3.0, rel=1e-15)
-
-
 def test_chol_factor_identity_no_jitter():
     L, jitter = chol_factor_with_nugget(np.eye(4))
     assert jitter == 0.0
@@ -200,30 +193,35 @@ def test_chol_factor_escalates_on_near_singular():
 
 
 def grams_failing_at_zero_jitter():
+    # (K, z, e0_sq) of one kernel and measure, so worst-case errors are >= 0
+    near = np.array([[0.0], [1e-9]])
     toy = np.random.default_rng(0).normal(0.0, 8.0, size=(75, 1))
+    # a jittered copy must not keep -0.0 where K + jitter * I had +0.0;
+    # its measure puts mass a on the three points: z = K a, e0^2 = a'K a
+    signed = np.array([[1.0, 1.0, -0.0], [1.0, 1.0, 0.0], [-0.0, 0.0, 1.0]])
+    a = np.linspace(0.5, 1.5, 3)
     return {
-        "near-singular": (K1.gram(np.array([[0.0], [1e-9]])), None),
-        "toy-75": (K1.gram(toy), K1.embedding(M1, toy)),
-        # a jittered copy must not keep -0.0 where K + jitter * I had +0.0
-        "signed-zero": (np.array([[1.0, 1.0, -0.0], [1.0, 1.0, 0.0],
-                                  [-0.0, 0.0, 1.0]]), None),
+        "near-singular": (K1.gram(near), K1.embedding(M1, near),
+                          K1.double_integral(M1)),
+        "toy-75": (K1.gram(toy), K1.embedding(M1, toy),
+                   K1.double_integral(M1)),
+        "signed-zero": (signed, signed @ a, float(a @ signed @ a)),
     }
 
 
 @pytest.mark.parametrize("case", ["near-singular", "toy-75", "signed-zero"])
 def test_lapack_factor_and_solves_match_scipy_wrappers(case):
-    K, z = grams_failing_at_zero_jitter()[case]
+    K, z, e0_sq = grams_failing_at_zero_jitter()[case]
     n = K.shape[0]
-    if z is None:
-        z = np.linspace(0.5, 1.5, n)
     before = K.copy()
     L, jitter = chol_factor_with_nugget(K)
     assert jitter > 0.0
     expected = scipy.linalg.cholesky(K + jitter * np.eye(n), lower=True)
     assert L.tobytes() == expected.tobytes()
-    w, nugget, L_w = _solve_weights(K, z, DEFAULT_NUGGET)
-    assert nugget == jitter and L_w.tobytes() == expected.tobytes()
+    w, err, nugget = fit_weights(K, z, e0_sq)
+    assert nugget == jitter
     assert w.tobytes() == scipy.linalg.cho_solve((expected, True), z).tobytes()
+    assert err == worst_case_error(K, z, w, e0_sq)
     half = scipy.linalg.solve_triangular(expected, z, lower=True)
     assert solve_lower(L, z).tobytes() == half.tobytes()
     assert K.tobytes() == before.tobytes()
@@ -244,6 +242,13 @@ def test_nugget_policy_ladder():
     assert ladder[1] == pytest.approx(1e-11)
     assert len(ladder) == 6
     assert all(b > a for a, b in zip(ladder[1:], ladder[2:]))
+
+
+def test_nugget_policy_ladder_grows_from_positive_jitter():
+    # every rung is a new jitter: the first one is not tried twice
+    ladder = NuggetPolicy(initial_jitter=1e-8, max_attempts=4).ladder()
+    assert ladder == (1e-8, 1e-8 * 10.0, 1e-8 * 10.0 * 10.0,
+                      1e-8 * 10.0 * 10.0 * 10.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -84,6 +84,12 @@ def test_cess_rejects_decreasing_temperature():
         cess(system_2(0.5, 0.5, t=0.5), FLAT, 0.25)
 
 
+def test_cess_rejects_temperature_above_one():
+    with pytest.raises(ValueError):
+        cess(system_2(0.5, 0.5, t=0.5), FLAT, 7.0)
+    assert cess(system_2(0.5, 0.5, t=0.5), FLAT, 1.0) == pytest.approx(2.0)
+
+
 def test_cess_degenerate_when_all_mass_outside():
     target = TemperedTarget(log_ref=lambda X: np.zeros(X.shape[0]),
                             log_target=lambda X: np.zeros(X.shape[0]),
