@@ -3,9 +3,10 @@
 The driver runs a tempered particle ladder and, at each temperature,
 estimates the quadrature error a size-n rule built from the current
 particles would achieve (a bootstrap over random subsets).  A trend test
-on the recent history decides when the error has stopped improving; the
-rule is then fitted on particles from the best recent temperature, and
-only those n states are ever passed to the integrand.
+on the recent history decides when the error has stopped improving, once
+it has dropped well below its starting value; the rule is then fitted on
+particles from the best recent temperature, and only those n states are
+ever passed to the integrand.
 
 The kernel-learning variant additionally evaluates the integrand on a
 small random subset each temperature (all evaluations cached), refits
@@ -25,6 +26,7 @@ import numpy as np
 from .kernels import KernelHandle, GaussianKernel, GaussianMeasure
 from .quadrature import (
     GramSingularError,
+    InsufficientStatesError,
     chol_factor_with_nugget,
     dedupe,
     fit_weights,
@@ -60,10 +62,10 @@ __all__ = [
 ]
 
 TREND_WINDOW = 5
-
-
-class InsufficientStatesError(ValueError):
-    """Fewer unique particle states than quadrature nodes requested."""
+# the ladder stops only once the error is at most this share of its first
+DROP_GUARD = 0.25
+# temperatures an adaptive ladder may take before it is deemed stuck
+MAX_RUNGS = 1000
 
 
 @dataclass(frozen=True)
@@ -203,30 +205,45 @@ def _slope(ts: np.ndarray, errs: np.ndarray) -> float:
     return float(tc @ (errs - errs.mean())) / float(tc @ tc)
 
 
+def _rises(ts: np.ndarray, errs: np.ndarray) -> bool:
+    k = TREND_WINDOW
+    return len(errs) >= k and _slope(ts[-k:], errs[-k:]) > 0.0
+
+
 def trend_test(trace: ErrorTrace) -> bool:
-    """True when the recent error trend says to stop.
+    """True when the recent error trend rises.
 
     Needs at least TREND_WINDOW entries; then fits a least-squares line
     of the monitored error against temperature over the most recent
-    window and reports termination on a strictly positive slope.
+    window and reports a strictly positive slope.
     """
-    k = TREND_WINDOW
-    return len(trace) >= k and _slope(trace.ts[-k:], trace.errors[-k:]) > 0.0
+    return _rises(trace.ts, trace.errors)
+
+
+def _stops(ts: np.ndarray, errs: np.ndarray) -> bool:
+    """The stopping rule on a trace prefix.
+
+    The error trend rises (trend_test) after the error has dropped to at
+    most DROP_GUARD times its first value, so a rise from a plateau near
+    the start does not stop the ladder.
+    """
+    return _rises(ts, errs) and errs.min() <= DROP_GUARD * errs[0]
 
 
 def select_rule_entry(trace: ErrorTrace) -> int:
     """Index of the trace entry the final rule should be built from.
 
-    Replays the trend test along the trace: at the first terminating
-    prefix, picks the smallest-error entry of the trailing window; if no
-    prefix terminates, picks the last entry.
+    Replays the stopping rule along the trace: at the first prefix where
+    the error rises after it has dropped (see DROP_GUARD), picks the
+    smallest-error entry of the trailing window; if no prefix stops,
+    picks the last entry.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
     ts, errs = trace.ts, trace.errors
-    for lo in range(len(trace) - TREND_WINDOW + 1):
-        hi = lo + TREND_WINDOW
-        if _slope(ts[lo:hi], errs[lo:hi]) > 0.0:
+    for hi in range(TREND_WINDOW, len(trace) + 1):
+        if _stops(ts[:hi], errs[:hi]):
+            lo = hi - TREND_WINDOW
             return lo + int(np.argmin(errs[lo:hi]))
     return len(trace) - 1
 
@@ -274,6 +291,8 @@ def marginal_likelihood_objective(f_values, points,
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 33
+_LINE_TOL = 1e-3  # width at which a golden-section search stops
+_CYCLES = 3  # coordinate-descent passes over two or more parameters
 
 
 def _safe_eval(fun, x):
@@ -284,13 +303,13 @@ def _safe_eval(fun, x):
     return v if np.isfinite(v) else np.inf
 
 
-def _golden_section(fun, lo, hi, tol=1e-3):
+def _golden_section(fun, lo, hi):
     """Golden-section minimiser on [lo, hi]; non-finite values -> +inf."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = _safe_eval(fun, x1), _safe_eval(fun, x2)
-    while b - a > tol:
+    while b - a > _LINE_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -303,7 +322,7 @@ def _golden_section(fun, lo, hi, tol=1e-3):
     return mid, _safe_eval(fun, mid)
 
 
-def _line_minimize(fun, lo, hi, tol=1e-3):
+def _line_minimize(fun, lo, hi):
     """Coarse scan for the dominant basin, then golden-section refinement.
 
     The marginal-likelihood objective is often multimodal across a wide
@@ -315,20 +334,19 @@ def _line_minimize(fun, lo, hi, tol=1e-3):
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, _SCAN_POINTS - 1)]
-    best, val = _golden_section(fun, a, b, tol)
+    best, val = _golden_section(fun, a, b)
     if vals[i] < val:
         return float(grid[i]), vals[i]
     return best, val
 
 
-def kern_param_fit(f_values, points, family: KernelFamily,
-                   cycles: int = 3) -> np.ndarray:
+def kern_param_fit(f_values, points, family: KernelFamily) -> np.ndarray:
     """Marginal-likelihood kernel parameters on the given evaluations.
 
     Minimises f'(K+nugget I)^-1 f + log det(K+nugget I) over the family's
-    log-parameter box: a scanned line search for one parameter, cyclic
-    coordinate descent with scanned line searches otherwise.  Returns
-    natural-scale parameters.
+    log-parameter box by cyclic coordinate descent with scanned line
+    searches; one pass for a single parameter, whose line search does not
+    depend on a previous pass.  Returns natural-scale parameters.
     """
     f = np.asarray(f_values, dtype=float)
     X = np.asarray(points, dtype=float)
@@ -336,6 +354,9 @@ def kern_param_fit(f_values, points, family: KernelFamily,
         X = X[:, None]
     if f.shape[0] != X.shape[0] or X.shape[0] < 2:
         raise ValueError("need matching f_values and at least two points")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("f_values must be finite; non-finite at indices "
+                         f"{np.flatnonzero(~np.isfinite(f)).tolist()}")
     bounds = list(family.log_bounds)
     if np.allclose(f, 0.0):
         warnings.warn("integrand values are identically zero; kernel fit is "
@@ -346,15 +367,8 @@ def kern_param_fit(f_values, points, family: KernelFamily,
         return marginal_likelihood_objective(f, X, kernel)
 
     log_p = np.asarray([0.5 * (lo + hi) for lo, hi in bounds])
-    if len(bounds) == 1:
-        best, val = _line_minimize(lambda v: objective(np.asarray([v])),
-                                   bounds[0][0], bounds[0][1])
-        log_p = np.asarray([best])
-        if not np.isfinite(val):
-            raise GramSingularError([], (np.nan, np.nan))
-        return np.exp(log_p)
     current = np.inf
-    for _ in range(cycles):
+    for _ in range(_CYCLES if len(bounds) > 1 else 1):
         for j, (lo, hi) in enumerate(bounds):
             def line(v, j=j):
                 trial = log_p.copy()
@@ -365,7 +379,8 @@ def kern_param_fit(f_values, points, family: KernelFamily,
                 log_p[j] = best
                 current = val
     if not np.isfinite(current):
-        raise GramSingularError([], (np.nan, np.nan))
+        raise np.linalg.LinAlgError("no parameter in the box gave a finite "
+                                    "marginal-likelihood objective")
     return np.exp(log_p)
 
 
@@ -385,26 +400,31 @@ def _kl_error(kernel: KernelHandle, measure: GaussianMeasure | None,
     return float(np.sqrt(mean_sq) * np.sqrt(max(norm_sq, 0.0))), max_nugget
 
 
-def _run_ladder(target: TemperedTarget, reference, rho: float, delta: float,
+def _run_ladder(log_target, reference, support, rho: float, delta: float,
                 n_particles: int, proposal: ProposalPolicy,
-                rng: np.random.Generator, sweeps: int, max_steps: int,
-                record, terminate_early: bool, ladder=None):
+                rng: np.random.Generator, sweeps: int, record,
+                terminate_early: bool, ladder=None):
     """The ladder loop: record(system) -> TraceEntry at each temperature.
 
+    Tempers from the reference towards log_target within support.
     Temperatures come from next_temperature, or from ladder[1:] when a
-    fixed ladder is given.  Returns (trace, snapshots); snapshots[i] is
+    fixed ladder is given; an adaptive ladder longer than MAX_RUNGS
+    raises RuntimeError.  Returns (trace, snapshots); snapshots[i] is
     the particle system the i-th trace entry was computed from.
     """
+    target = TemperedTarget(log_ref=reference.log_density,
+                            log_target=log_target, support=support)
     system = init_particles(reference, n_particles, rng, target)
     trace = ErrorTrace()
     snapshots = [system]
     trace.append(record(system))
     while system.t < 1.0 and (ladder is None or len(trace) < len(ladder)):
-        if terminate_early and trend_test(trace):
+        if terminate_early and _stops(trace.ts, trace.errors):
             break
-        if len(trace) > max_steps:
-            raise RuntimeError(f"temperature ladder exceeded {max_steps} steps")
         if ladder is None:
+            if len(trace) > MAX_RUNGS:
+                raise RuntimeError(
+                    f"temperature ladder exceeded {MAX_RUNGS} steps")
             t_next = next_temperature(system, target, rho, delta)
         else:
             t_next = float(ladder[len(trace)])
@@ -434,17 +454,19 @@ def smc_kq(f: Callable[[np.ndarray], np.ndarray],
            n: int, n_particles: int, rho: float = 0.95, delta: float = 0.1,
            m_boot: int = 20,
            proposal: ProposalPolicy = ProposalPolicy(),
-           sweeps: int = 1, max_steps: int = 1000,
-           terminate_early: bool = True, seed: int = 0) -> RunReport:
+           sweeps: int = 1, terminate_early: bool = True,
+           seed: int = 0) -> RunReport:
     """Adaptively tempered kernel quadrature with a fixed kernel.
 
     Runs the tempered ladder from the reference towards the target,
     monitoring the bootstrap error statistic of a prospective size-n rule
-    at each temperature.  When the trend test fires, the rule is built
-    from n unique states of the best recent temperature; the integrand is
-    evaluated only on those n points.  If the ladder reaches t = 1
-    without terminating, the t = 1 particles are used, which recovers
-    standard kernel quadrature under target sampling.
+    at each temperature.  The ladder does not stop before the statistic
+    has dropped to DROP_GUARD times its t = 0 value; once it has, and
+    the trend test fires, the rule is built from n unique states of the
+    best recent temperature.  The integrand is evaluated only on those
+    n points.  If the ladder reaches t = 1 without terminating, the
+    t = 1 particles are used, which recovers standard kernel quadrature
+    under target sampling.
 
     Parameters
     ----------
@@ -470,11 +492,9 @@ def smc_kq(f: Callable[[np.ndarray], np.ndarray],
     if n_particles < 2 * n:
         raise ValueError("n_particles must be at least 2 * n")
     rng = np.random.default_rng(seed)
-    target = TemperedTarget(log_ref=reference.log_density,
-                            log_target=log_target, support=support)
     record = _error_record(kernel, measure, n, m_boot, rng)
-    trace, snapshots = _run_ladder(target, reference, rho, delta, n_particles,
-                                   proposal, rng, sweeps, max_steps, record,
+    trace, snapshots = _run_ladder(log_target, reference, support, rho, delta,
+                                   n_particles, proposal, rng, sweeps, record,
                                    terminate_early)
     # a forced full ladder is the fixed-sampling baseline: use the t=1 rule
     chosen = select_rule_entry(trace) if terminate_early else len(trace) - 1
@@ -495,7 +515,7 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
               n: int, n_particles: int, rho: float = 0.95, delta: float = 0.1,
               m_boot: int = 20,
               proposal: ProposalPolicy = ProposalPolicy(),
-              sweeps: int = 1, max_steps: int = 1000, refit_every: int = 1,
+              sweeps: int = 1, refit_every: int = 1,
               terminate_early: bool = True, seed: int = 0) -> RunReport:
     """Adaptively tempered kernel quadrature with kernel learning.
 
@@ -516,8 +536,6 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
     if refit_every < 1:
         raise ValueError("refit_every must be >= 1")
     rng = np.random.default_rng(seed)
-    target = TemperedTarget(log_ref=reference.log_density,
-                            log_target=log_target, support=support)
     cache = EvalCache()
     state = {"params": None, "since_fit": 0, "entry_params": []}
 
@@ -539,8 +557,8 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
                                      m_boot, rng)
         return TraceEntry(t=system.t, error=stat, nugget=max_nugget)
 
-    trace, _ = _run_ladder(target, reference, rho, delta, n_particles,
-                           proposal, rng, sweeps, max_steps, record,
+    trace, _ = _run_ladder(log_target, reference, support, rho, delta,
+                           n_particles, proposal, rng, sweeps, record,
                            terminate_early)
     chosen = select_rule_entry(trace) if terminate_early else len(trace) - 1
     params = state["entry_params"][chosen]
@@ -576,9 +594,7 @@ def temperature_error_profile(log_target: Callable[[np.ndarray], np.ndarray],
     if ladder[-1] > 1.0:
         raise ValueError("ladder must stay within [0, 1]")
     rng = np.random.default_rng(seed)
-    target = TemperedTarget(log_ref=reference.log_density,
-                            log_target=log_target, support=support)
     record = _error_record(kernel, measure, n, m_boot, rng)
-    return _run_ladder(target, reference, rho, None, n_particles, proposal,
-                       rng, sweeps, max_steps=len(ladder), record=record,
-                       terminate_early=False, ladder=ladder)
+    return _run_ladder(log_target, reference, support, rho, None, n_particles,
+                       proposal, rng, sweeps, record, terminate_early=False,
+                       ladder=ladder)

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,25 +104,11 @@ class ResultRow:
     wall_time_ms: float
     seed: int
 
-    def as_record(self) -> list:
-        return [
-            self.experiment, self.replicate, self.method, self.n,
-            _fmt(self.estimate), _fmt(self.abs_error),
-            "" if self.t_star is None else _fmt(self.t_star),
-            self.total_f_evals, _fmt(self.nugget_used),
-            _fmt(self.wall_time_ms), self.seed,
-        ]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
 
 # ---------------------------------------------------------------------------
 # configuration
 
 _COMMON_KEYS = {
-    "experiment": None,
     "replicates": 10,
     "seed": 0,
     "output_path": "out",
@@ -216,30 +202,21 @@ class RunConfig:
 
 
 def _check_type(key, value, default):
-    if default is None:
-        return
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"key {key!r} must be a boolean")
-        return
-    if isinstance(default, int) and not isinstance(default, bool):
+    elif isinstance(default, (int, float)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"key {key!r} must be a number")
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(default, int) and isinstance(value, float) \
+                and not value.is_integer():
             raise ConfigError(f"key {key!r} must be an integer")
-        return
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r} must be a number")
-        return
-    if isinstance(default, str):
+    elif isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"key {key!r} must be a string")
-        return
-    if isinstance(default, list):
+    elif isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"key {key!r} must be a non-empty list")
-        return
 
 
 def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
@@ -251,34 +228,26 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if benchmark:
-        known = dict(_BENCHMARK_KEYS)
         experiment = "benchmark"
-        extra_common = {k: v for k, v in _COMMON_KEYS.items()
-                        if k != "experiment"}
+        known = {**_COMMON_KEYS, **_BENCHMARK_KEYS}
     else:
         experiment = raw.get("experiment")
         if not isinstance(experiment, str) or experiment not in _EXPERIMENT_KEYS:
             raise ConfigError(
                 "key 'experiment' must be one of "
                 + ", ".join(sorted(_EXPERIMENT_KEYS)))
-        known = dict(_EXPERIMENT_KEYS[experiment])
-        extra_common = {k: v for k, v in _COMMON_KEYS.items()
-                        if k != "experiment"}
+        known = {**_COMMON_KEYS, **_EXPERIMENT_KEYS[experiment]}
 
     params = {}
     for key, value in raw.items():
         if key == "experiment":
             continue
-        if key in extra_common:
-            _check_type(key, value, extra_common[key])
-            params[key] = value
-        elif key in known:
-            _check_type(key, value, known[key])
-            params[key] = value
-        else:
+        if key not in known:
             raise ConfigError(f"unknown key {key!r} for experiment "
                               f"{experiment!r}")
-    for key, default in {**extra_common, **known}.items():
+        _check_type(key, value, known[key])
+        params[key] = value
+    for key, default in known.items():
         params.setdefault(key, default)
 
     replicates = int(params.pop("replicates"))
@@ -362,6 +331,22 @@ def _elapsed_ms(start, enabled):
     return (time.perf_counter() - start) * 1e3 if enabled else 0.0
 
 
+def _report_row(cfg: RunConfig, r: int, method: str, report, truth: float,
+                ms: float, seed: int) -> ResultRow:
+    """The row of one adaptive run's RunReport."""
+    return ResultRow(cfg.experiment, r, method, report.n_quadrature_points,
+                     report.estimate, abs(report.estimate - truth),
+                     report.t_star, report.total_f_evals,
+                     report.final_nugget, ms, seed)
+
+
+def _trace_file(r: int, trace):
+    """{trace_<r>.csv: (header, records)} of one ladder's ErrorTrace."""
+    return {f"trace_{r}.csv": (["t", "R", "nugget"],
+                               [(e.t, e.error, e.nugget)
+                                for e in trace.entries])}
+
+
 def _toy_kq_row(cfg: RunConfig, method: str, method_idx: int, r: int,
                 n: int, sigma: float) -> ResultRow:
     problem, kernel, measure = _toy_pieces(cfg.params)
@@ -401,12 +386,10 @@ def _run_toy_smckq(cfg: RunConfig, r: int):
         lambda X: toy_integrand(problem, X), measure.log_density, kernel,
         reference, measure=measure, seed=seed, **_ladder_kwargs(p))
     ms = _elapsed_ms(start, cfg.record_wall_time)
-    rows = [ResultRow(cfg.experiment, r, "smc-kq", n, report.estimate,
-                      abs(report.estimate - problem.true_value),
-                      report.t_star, report.total_f_evals,
-                      report.final_nugget, ms, seed),
+    rows = [_report_row(cfg, r, "smc-kq", report, problem.true_value, ms,
+                        seed),
             _toy_kq_row(cfg, "kq", 1, r, n, 1.0)]
-    return rows, {r: report.trace}
+    return rows, _trace_file(r, report.trace)
 
 
 def _run_toy_smckq_kl(cfg: RunConfig, r: int):
@@ -426,11 +409,8 @@ def _run_toy_smckq_kl(cfg: RunConfig, r: int):
         refit_every=int(p["method.refit_every"]), seed=seed,
         **_ladder_kwargs(p))
     ms = _elapsed_ms(start, cfg.record_wall_time)
-    rows = [ResultRow(cfg.experiment, r, "smc-kq-kl",
-                      report.n_quadrature_points, report.estimate,
-                      abs(report.estimate - problem.true_value),
-                      report.t_star, report.total_f_evals,
-                      report.final_nugget, ms, seed)]
+    rows = [_report_row(cfg, r, "smc-kq-kl", report, problem.true_value, ms,
+                        seed)]
 
     # baseline: same budget of fresh target samples, lengthscale fitted on them
     seed_b = replicate_seed(cfg.seed, 1, r)
@@ -446,7 +426,7 @@ def _run_toy_smckq_kl(cfg: RunConfig, r: int):
     rows.append(ResultRow(cfg.experiment, r, "kq-kl", n, est,
                           abs(est - problem.true_value), None, n,
                           rule.nugget_used, ms, seed_b))
-    return rows, {r: report.trace}
+    return rows, _trace_file(r, report.trace)
 
 
 def _load_benchmark(path):
@@ -475,8 +455,7 @@ def _run_ode(cfg: RunConfig, r: int):
         base=GaussianKernel(np.asarray(p["kernel.lengthscales"], dtype=float)),
         score=lambda X: ode_score(problem, X))
     reference = BoxUniform(lo, hi)
-    n = int(p["method.n"])
-    rows, traces = [], {}
+    rows, files = [], {}
     for mi, (method, early) in enumerate([("smc-kq", True), ("kq", False)]):
         seed = replicate_seed(cfg.seed, mi, r)
         start = _timed(cfg.record_wall_time)
@@ -486,13 +465,10 @@ def _run_ode(cfg: RunConfig, r: int):
             measure=None, support=(lo, hi), terminate_early=early, seed=seed,
             **_ladder_kwargs(p))
         ms = _elapsed_ms(start, cfg.record_wall_time)
-        rows.append(ResultRow(cfg.experiment, r, method, n, report.estimate,
-                              abs(report.estimate - truth), report.t_star,
-                              report.total_f_evals, report.final_nugget, ms,
-                              seed))
+        rows.append(_report_row(cfg, r, method, report, truth, ms, seed))
         if early:
-            traces[r] = report.trace
-    return rows, traces
+            files = _trace_file(r, report.trace)
+    return rows, files
 
 
 def _run_halton_compare(cfg: RunConfig, r: int):
@@ -543,7 +519,7 @@ def _run_sbq_demo(cfg: RunConfig, r: int):
                               rule.nugget_used, 0.0, cfg.seed))
         for order, x in enumerate(sel[:, 0]):
             points.append((ell, order, float(x)))
-    return rows, {"sbq_points": points}
+    return rows, {"sbq_points.csv": (["lengthscale", "order", "x"], points)}
 
 
 def _run_bach(cfg: RunConfig, r: int):
@@ -555,9 +531,12 @@ def _run_bach(cfg: RunConfig, r: int):
     xs = np.linspace(float(p["grid.low"]), float(p["grid.high"]),
                      int(p["grid.count"]))
     dens = bach_density_truncated(diag, xs)
-    return [], {"density": list(zip(xs.tolist(), dens.tolist()))}
+    return [], {"density.csv": (["x", "density"],
+                                list(zip(xs.tolist(), dens.tolist())))}
 
 
+# each runner maps (cfg, replicate) to (rows, files), where files maps an
+# output file name to its (header, records)
 EXPERIMENTS = {
     "toy-sweep": _run_toy_sweep,
     "toy-smckq": _run_toy_smckq,
@@ -578,12 +557,14 @@ def _replicate_task(args):
 # output writers
 
 
-def _write_results(path: Path, rows: list[ResultRow]) -> None:
+def _write_csv(path: Path, header: list[str], records) -> None:
+    """One CSV file; floats as repr(float), None as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_record())
+        writer.writerow(header)
+        for record in records:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                             for v in record])
 
 
 def _write_summary(path: Path, cfg: RunConfig, rows: list[ResultRow]) -> None:
@@ -608,23 +589,6 @@ def _write_summary(path: Path, cfg: RunConfig, rows: list[ResultRow]) -> None:
     path.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
 
 
-def _write_trace(path: Path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "R", "nugget"])
-        for e in trace.entries:
-            writer.writerow([_fmt(e.t), _fmt(e.error), _fmt(e.nugget)])
-
-
-def _write_pairs(path: Path, header: list[str], pairs) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for tup in pairs:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v
-                             for v in tup])
-
-
 def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
     """Execute an experiment and write its outputs.
 
@@ -642,20 +606,15 @@ def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
         outcomes = [_replicate_task(t) for t in tasks]
 
     rows: list[ResultRow] = []
-    for per_rep_rows, _ in outcomes:
+    files = {}
+    for per_rep_rows, per_rep_files in outcomes:
         rows.extend(per_rep_rows)
+        files.update(per_rep_files)
     rows.sort(key=lambda r: (r.method, r.n, r.replicate))
-    _write_results(out / "results.csv", rows)
+    _write_csv(out / "results.csv", RESULT_COLUMNS, map(astuple, rows))
     _write_summary(out / "summary.json", cfg, rows)
-    for _, extras in outcomes:
-        for key, value in extras.items():
-            if key == "density":
-                _write_pairs(out / "density.csv", ["x", "density"], value)
-            elif key == "sbq_points":
-                _write_pairs(out / "sbq_points.csv",
-                             ["lengthscale", "order", "x"], value)
-            else:
-                _write_trace(out / f"trace_{key}.csv", value)
+    for name, (header, records) in files.items():
+        _write_csv(out / name, header, records)
     return out
 
 

@@ -157,11 +157,7 @@ def ode_solution(theta, times) -> np.ndarray:
         Shape () for single theta and scalar time, (k,) or (m,) when one
         argument is batched, (m, k) when both are.
     """
-    th = np.asarray(theta, dtype=float)
-    single_theta = th.ndim == 1
-    th = np.atleast_2d(th)
-    if th.shape[1] != 4:
-        raise ValueError("theta must have four components")
+    th, single_theta = _theta_batch(theta)
     t = np.asarray(times, dtype=float)
     scalar_t = t.ndim == 0
     out = _trajectory(th, np.atleast_1d(t))

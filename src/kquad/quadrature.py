@@ -5,14 +5,14 @@ the Gram matrix and z the mean-embedding vector; the estimate of the integral
 is then w . f(X).  The squared worst-case error of arbitrary weights is the
 quadratic form w'Kw - 2 w'z + e0^2 with e0^2 the double integral of the
 kernel.  The nugget is only added when a plain Cholesky factorisation fails,
-escalating through a short geometric ladder.
+escalating through a fixed ladder of jitters.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -26,6 +26,7 @@ __all__ = [
     "QuadratureRule",
     "DuplicatePointsError",
     "GramSingularError",
+    "InsufficientStatesError",
     "dedupe",
     "kq_fit",
     "kq_estimate",
@@ -35,12 +36,20 @@ __all__ = [
     "gaussian_inverse_cdf",
 ]
 
-# escalation floor when the configured initial jitter is zero
-_JITTER_FLOOR = 1e-11
+# jitters tried in order, before scaling: the exact system, then 1e-11
+# growing tenfold; each rung is written as the product of the last one
+# and 10.0, since 1e-11 * 10.0 ** k and decimal literals differ in bits
+_JITTER_LADDER = (0.0, 1e-11, 1e-11 * 10.0, 1e-11 * 10.0 * 10.0,
+                  1e-11 * 10.0 * 10.0 * 10.0,
+                  1e-11 * 10.0 * 10.0 * 10.0 * 10.0)
 
 
 class DuplicatePointsError(ValueError):
     """Raised when a point set contains bitwise-identical rows."""
+
+
+class InsufficientStatesError(ValueError):
+    """Fewer distinct states or candidates than quadrature nodes requested."""
 
 
 class GramSingularError(np.linalg.LinAlgError):
@@ -63,42 +72,19 @@ class GramSingularError(np.linalg.LinAlgError):
         )
 
 
-@dataclass(frozen=True)
 class NuggetPolicy:
-    """Escalating diagonal jitter for Gram factorisations.
+    """The fixed jitter ladder of chol_factor_with_nugget.
 
-    The first attempt uses ``initial_jitter`` (default 0, i.e. the exact
-    system).  Each retry multiplies the last jitter by ``growth``; after a
-    zero the ladder starts from a small fixed floor, since zero cannot grow.
-    With ``scale_by_trace`` the jitter is multiplied by mean(diag(K)) so
-    that it is relative to the kernel's scale.  The ladder is built once,
-    when the policy is made, which raises ValueError unless max_attempts
-    >= 1, growth is finite and > 1, and initial_jitter is finite and >= 0.
+    The first attempt is the exact system.  Each retry adds the next
+    rung times mean(diag(K)), so the jitter is relative to the kernel's
+    scale (scale_by_trace).
     """
 
-    initial_jitter: float = 0.0
-    growth: float = 10.0
-    max_attempts: int = 6
-    scale_by_trace: bool = True
-    _ladder: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if not (math.isfinite(self.growth) and self.growth > 1.0):
-            raise ValueError("growth must be finite and exceed 1")
-        if not (math.isfinite(self.initial_jitter)
-                and self.initial_jitter >= 0.0):
-            raise ValueError("initial_jitter must be finite and >= 0")
-        values = [self.initial_jitter]
-        while len(values) < self.max_attempts:
-            values.append(values[-1] * self.growth if values[-1] > 0
-                          else _JITTER_FLOOR)
-        object.__setattr__(self, "_ladder", tuple(values))
+    scale_by_trace = True
 
     def ladder(self) -> tuple[float, ...]:
         """Jitters to try, in order, before scaling by the trace."""
-        return self._ladder
+        return _JITTER_LADDER
 
 
 DEFAULT_NUGGET = NuggetPolicy()
@@ -177,7 +163,7 @@ def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET
     that copy.
     """
     n = K.shape[0]
-    scale = float(K.trace()) / n if policy.scale_by_trace else 1.0
+    scale = float(K.trace()) / n
     for jitter in policy.ladder():
         effective = jitter * scale
         if effective == 0.0:
@@ -292,7 +278,9 @@ def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
     Starting from the seed candidate, repeatedly appends the candidate
     whose addition gives the smallest fitted worst-case error, ties broken
     by lowest candidate index.  Returns the indices of the selected
-    candidates in selection order.
+    candidates in selection order.  Raises InsufficientStatesError when
+    fewer than n candidates are distinct, and the last GramSingularError
+    when no candidate of a step can be fitted.
     """
     C = _as_points(candidates)
     m = C.shape[0]
@@ -300,32 +288,34 @@ def sbq_greedy_select(kernel: KernelHandle, measure: GaussianMeasure | None,
         raise ValueError(f"cannot select {n} points from {m} candidates")
     if not 0 <= seed_index < m:
         raise ValueError("seed_index out of range")
+    row_key = row_keys(C).tolist()
+    distinct = len(set(row_key))
+    if distinct < n:
+        raise InsufficientStatesError(
+            f"need {n} distinct candidates, have {distinct}")
     K_full = kernel.gram(C)
     z_full = kernel.embedding(measure, C)
     e0_sq = kernel.double_integral(measure)
 
     selected = [seed_index]
-    chosen = np.zeros(m, dtype=bool)
-    chosen[seed_index] = True
-    row_key = row_keys(C).tolist()
     keys = {row_key[seed_index]}
     while len(selected) < n:
-        best_err, best_j = np.inf, -1
+        best_err, best_j, failure = np.inf, -1, None
         for j in range(m):
-            if chosen[j] or row_key[j] in keys:
+            if row_key[j] in keys:  # chosen, or a copy of a chosen row
                 continue
             idx = selected + [j]
             K = K_full.take(idx, 0).take(idx, 1)  # the idx-by-idx block
             try:
                 _, err, _ = fit_weights(K, z_full[idx], e0_sq)
-            except GramSingularError:
+            except GramSingularError as exc:
+                failure = exc
                 continue
             if err < best_err:
                 best_err, best_j = err, j
         if best_j < 0:
-            raise GramSingularError([], (float("nan"), float("nan")))
+            raise failure
         selected.append(best_j)
-        chosen[best_j] = True
         keys.add(row_key[best_j])
     return np.asarray(selected, dtype=int)
 

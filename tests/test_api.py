@@ -51,13 +51,17 @@ def test_all_resolves_without_duplicates():
 
 
 def test_no_nugget_knob_above_the_factor():
-    # the jitter ladder is fixed below chol_factor_with_nugget
+    # the jitter ladder is fixed below chol_factor_with_nugget, and the
+    # ladder and refit loops have fixed bounds and tolerances
     assert "NuggetPolicy" not in kquad.__all__
     for module in (kquad, kquad.controller, kquad.quadrature):
         for name in module.__all__:
             obj = getattr(module, name)
-            if not inspect.isfunction(obj) or name == "chol_factor_with_nugget":
+            if not inspect.isfunction(obj):
                 continue
-            params = inspect.signature(obj).parameters
-            assert not {"nugget", "policy"} & set(params), \
-                f"{module.__name__}.{name} takes a nugget knob"
+            params = set(inspect.signature(obj).parameters)
+            assert not {"max_steps", "cycles", "tol"} & params, \
+                f"{module.__name__}.{name} takes a loop knob"
+            if name != "chol_factor_with_nugget":
+                assert not {"nugget", "policy"} & params, \
+                    f"{module.__name__}.{name} takes a nugget knob"

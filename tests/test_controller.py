@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kquad.controller
 from kquad.controller import (
+    DROP_GUARD,
     ErrorTrace,
     EvalCache,
     InsufficientStatesError,
+    KernelFamily,
     TraceEntry,
     gaussian_lengthscale_family,
     kern_param_fit,
@@ -20,14 +23,14 @@ from kquad.controller import (
 )
 from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from kquad.problems import ToyProblem, toy_integrand
-from kquad.controller import _bootstrap_error, _kl_error
+from kquad.controller import _bootstrap_error, _kl_error, _run_ladder
 from kquad.quadrature import (
     chol_factor_with_nugget,
     dedupe,
     kq_fit,
     worst_case_error,
 )
-from kquad.smc import BoxUniform
+from kquad.smc import BoxUniform, ProposalPolicy
 
 K1 = GaussianKernel([1.0])
 M1 = GaussianMeasure([0.0], [1.0])
@@ -271,6 +274,38 @@ def test_select_rule_entry_empty_trace():
         select_rule_entry(ErrorTrace())
 
 
+def scripted_ladder(errors):
+    # the ladder loop on a fixed ladder with a scripted error statistic
+    _, measure, reference = toy_setup()
+    script = iter(errors)
+
+    def record(system):
+        return TraceEntry(t=system.t, error=next(script), nugget=0.0)
+
+    trace, _ = _run_ladder(measure.log_density, reference, None, 0.95, None,
+                           32, ProposalPolicy(), np.random.default_rng(0), 1,
+                           record, True, ladder=np.linspace(0.0, 1.0,
+                                                            len(errors)))
+    return trace
+
+
+def test_rise_from_a_plateau_does_not_stop():
+    errors = [1.0, 0.9, 0.9, 0.95, 1.0, 1.02, 1.05]
+    assert trend_test(trace_from(errors[:5]))  # the slope alone would stop
+    assert min(errors) > DROP_GUARD * errors[0]
+    assert select_rule_entry(trace_from(errors)) == 6
+    assert len(scripted_ladder(errors)) == 7
+
+
+def test_rise_after_a_drop_stops_at_the_window_minimum():
+    # no stop on the early rise; the error then drops tenfold and rises
+    errors = [1.0, 0.9, 0.9, 0.95, 1.0, 0.4, 0.1, 0.1, 0.12, 0.15, 0.2, 0.3]
+    assert select_rule_entry(trace_from(errors)) == 6
+    trace = scripted_ladder(errors)
+    assert list(trace.errors) == errors[:11]  # stopped at the first rise
+    assert select_rule_entry(trace) == 6
+
+
 # --- kernel parameter fitting ---
 
 
@@ -343,6 +378,23 @@ def test_kern_param_fit_validation_and_1d_points():
         kern_param_fit([1.0, 2.0, 3.0], [[0.0], [1.0]], family)
     ell = kern_param_fit([1.0, 2.0, 0.5], np.array([0.0, 1.0, 2.0]), family)
     assert 0.05 <= ell[0] <= 5.0
+
+
+def test_kern_param_fit_names_the_cause():
+    family = gaussian_lengthscale_family(d=1)
+    X = np.linspace(-1, 1, 3)[:, None]
+    with pytest.raises(ValueError, match=r"non-finite at indices \[1\]"):
+        kern_param_fit([1.0, np.nan, 0.5], X, family)
+
+    class IndefiniteGram:  # no jitter on the ladder can factor it
+        def gram(self, X):
+            return -np.eye(len(X))
+
+    singular = KernelFamily(build=lambda p: IndefiniteGram(),
+                            log_bounds=[(0.0, 1.0)])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="no parameter in the box gave a finite"):
+        kern_param_fit([1.0, 2.0, 0.5], X, singular)
 
 
 def test_kern_param_fit_anisotropic_descent():
@@ -460,6 +512,14 @@ def test_smc_kq_ladder_monotone_with_capped_steps():
     assert np.all(np.diff(ts) <= 0.07 + 1e-12)
     assert ts[-1] == 1.0
     assert rep.t_star == 1.0  # forced full ladder uses the final temperature
+
+
+def test_smc_kq_ladder_longer_than_max_rungs_raises(monkeypatch):
+    f, measure, reference = toy_setup()
+    monkeypatch.setattr(kquad.controller, "MAX_RUNGS", 2)
+    with pytest.raises(RuntimeError, match="exceeded 2 steps"):
+        smc_kq(f, measure.log_density, K1, reference, measure=measure,
+               n=8, n_particles=32, delta=0.1, seed=5, terminate_early=False)
 
 
 def test_smc_kq_t_star_comes_from_trace():

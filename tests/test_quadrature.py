@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kquad
+import kquad.controller
 from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
 from kquad.quadrature import (
     DuplicatePointsError,
     GramSingularError,
+    InsufficientStatesError,
     NuggetPolicy,
     chol_factor_with_nugget,
     dedupe,
@@ -242,13 +245,12 @@ def test_nugget_policy_ladder():
     assert ladder[1] == pytest.approx(1e-11)
     assert len(ladder) == 6
     assert all(b > a for a, b in zip(ladder[1:], ladder[2:]))
-
-
-def test_nugget_policy_ladder_grows_from_positive_jitter():
-    # every rung is a new jitter: the first one is not tried twice
-    ladder = NuggetPolicy(initial_jitter=1e-8, max_attempts=4).ladder()
-    assert ladder == (1e-8, 1e-8 * 10.0, 1e-8 * 10.0 * 10.0,
-                      1e-8 * 10.0 * 10.0 * 10.0)
+    # bit for bit the ladder that multiplies each rung by 10.0 from 1e-11
+    rungs = [0.0, 1e-11]
+    while len(rungs) < 6:
+        rungs.append(rungs[-1] * 10.0)
+    assert [x.hex() for x in ladder] == [x.hex() for x in rungs]
+    assert NuggetPolicy.scale_by_trace is True
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -263,7 +265,8 @@ def test_nugget_policy_ladder_grows_from_positive_jitter():
     {"initial_jitter": float("inf")},
 ])
 def test_nugget_policy_rejects_invalid_values(kwargs):
-    with pytest.raises(ValueError):
+    # the ladder is fixed: the policy takes no settings at all
+    with pytest.raises(TypeError):
         NuggetPolicy(**kwargs)
 
 
@@ -291,6 +294,33 @@ def test_sbq_unit_kernel_spreads_out():
     idx = sbq_greedy_select(K1, M1, GRID, 5, seed_index=MODE_INDEX)
     pts = GRID[idx, 0]
     assert pts.max() - pts.min() > 2.0
+
+
+def test_sbq_too_few_distinct_candidates():
+    assert kquad.InsufficientStatesError is InsufficientStatesError
+    assert kquad.controller.InsufficientStatesError is InsufficientStatesError
+    with pytest.raises(InsufficientStatesError, match="2 distinct"):
+        sbq_greedy_select(K1, M1, [[0.0], [0.0], [0.0]], 2)
+
+
+class IndefiniteKernel:
+    """A kernel stub whose Gram no jitter on the ladder can factor."""
+
+    def gram(self, X):
+        return -np.eye(len(X))
+
+    def embedding(self, measure, X):
+        return np.ones(len(X))
+
+    def double_integral(self, measure):
+        return 1.0
+
+
+def test_sbq_reraises_the_factorisation_failure():
+    with pytest.raises(GramSingularError) as exc:
+        sbq_greedy_select(IndefiniteKernel(), None, [[0.0], [1.0]], 2)
+    assert len(exc.value.jitters) == len(NuggetPolicy().ladder())
+    assert exc.value.diag_range == (-1.0, -1.0)
 
 
 def test_sbq_deterministic_and_error_decreasing():
