@@ -38,6 +38,7 @@ from .problems import (
     ODEProblem,
     ToyProblem,
     bach_density_truncated,
+    check_burn_in,
     default_toy_lengthscale,
     ode_log_posterior,
     ode_predictive,
@@ -259,6 +260,13 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
     if "method.proposal" in params and params["method.proposal"] not in _PROPOSALS:
         raise ConfigError("key 'method.proposal' must be one of "
                           + ", ".join(_PROPOSALS))
+    if benchmark:
+        try:
+            check_burn_in(params["benchmark.chain_length"],
+                          params["benchmark.burn_in"])
+        except ValueError as err:
+            raise ConfigError(f"keys 'benchmark.chain_length' and "
+                              f"'benchmark.burn_in': {err}") from None
     if not benchmark and experiment == "ode" \
             and params.get("ode.benchmark_path") is None:
         raise ConfigError("key 'ode.benchmark_path' is required; run the "

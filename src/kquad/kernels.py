@@ -209,8 +209,9 @@ class SteinKernel:
         sum_j (x_j - y_j)^2 / ell_j^2 (base kernel) and / ell_j^4 (mixed
         term) come from row norms and X Y^T, clamped at 0 against
         round-off; the cross term sum_j 2 (x_j - y_j)(u_j(x) - u_j(y))
-        / ell_j^2 from <x, u(x)>, <y, u(y)>, X U_Y^T and U_X Y^T.  gram(X)
-        is symmetrised, so it is exactly symmetric.
+        / ell_j^2 from <x, u(x)>, <y, u(y)>, X U_Y^T and U_X Y^T.  The
+        whole assembly works in place in two (n, m) buffers.  gram(X) is
+        symmetrised, so it is exactly symmetric.
         """
         X = _as_batch(X, self.d)
         UX = self._score_batch(X)
@@ -232,15 +233,20 @@ class SteinKernel:
         # sum_j 2 (x_j - y_j)(u_j(x) - u_j(y)) / ell_j^2
         inner += 2.0 * np.sum(XS * UX, axis=1)[:, None]
         inner += 2.0 * np.sum(YS * UY, axis=1)[None, :]
-        inner -= (2.0 * XS) @ UY.T
-        inner -= (2.0 * UX) @ YS.T
+        # K holds each product in turn, then the base kernel
+        K = np.matmul(2.0 * XS, UY.T)
+        inner -= K
+        inner -= np.matmul(2.0 * UX, YS.T, out=K)
         # score outer product
-        inner += UX @ UY.T
-        K = np.exp(-_sq_dist(X / ell, Y / ell))
+        inner += np.matmul(UX, UY.T, out=K)
+        K = _sq_dist(X / ell, Y / ell, out=K)
+        np.negative(K, out=K)
+        np.exp(K, out=K)
         K *= inner
         K += 1.0
         if same:
-            K += K.T  # numpy buffers the overlapping K.T: exactly symmetric
+            # K[i, j] + K[j, i] is commutative, so the sum is exactly symmetric
+            K = np.add(K, K.T, out=inner)
             K *= 0.5
         return K
 
@@ -253,9 +259,12 @@ class SteinKernel:
         return 1.0
 
 
-def _sq_dist(A, B) -> np.ndarray:
-    """sum_j (a_j - b_j)^2 for every pair of rows, clamped at 0."""
-    D = (-2.0 * A) @ B.T
+def _sq_dist(A, B, out=None) -> np.ndarray:
+    """sum_j (a_j - b_j)^2 for every pair of rows, clamped at 0.
+
+    Written into out, an (n, m) buffer, when one is given.
+    """
+    D = np.matmul(-2.0 * A, B.T, out=out)
     D += np.sum(A * A, axis=1)[:, None]
     D += np.sum(B * B, axis=1)[None, :]
     return np.maximum(D, 0.0, out=D)

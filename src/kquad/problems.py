@@ -173,7 +173,7 @@ _SERIES_LAM_T2 = 1e-3
 
 
 def _trajectory(th, times, jacobian=False):
-    """Oscillator position, regime-resolved per row of th.
+    """Oscillator position, each row of th in its own damping regime.
 
     th has shape (m, 4) and times shape (k,); returns x, shape (m, k), or
     with jacobian=True the pair (x, J) where J[i, l, :] is
@@ -183,53 +183,29 @@ def _trajectory(th, times, jacobian=False):
     Writing lam = c^2/4 - k and w = v0 + c x0 / 2, every regime is
     x = e^{-ct/2} (x0 C + w S) with C = cos(omega t), cosh(sqrt(lam) t)
     or 1 and S = sin(omega t)/omega, sinh(sqrt(lam) t)/sqrt(lam) or t
-    (under-, over- and critically damped); dC/dlam = t S / 2 and
-    dS/dlam = (t C - S) / (2 lam), whose lam -> 0 limit t^3/6 is reached
-    through its series where |lam| t^2 is small.
+    (under-, over- and critically damped; critical also takes a NaN
+    discriminant); dC/dlam = t S / 2 and dS/dlam = (t C - S) / (2 lam),
+    whose lam -> 0 limit t^3/6 is reached through its series where
+    |lam| t^2 is small.  Rows are gathered by regime, and every entry is
+    computed by the same operations whatever the rest of the batch holds.
     """
     t = times[None, :]  # (1, k)
-    x0 = th[:, 0:1]
-    v0 = th[:, 1:2]
-    stiff = th[:, 2:3]
-    damp = th[:, 3:4]
-    disc = damp * damp - 4.0 * stiff
-    w = v0 + 0.5 * damp * x0
-
+    disc = th[:, 3:4] * th[:, 3:4] - 4.0 * th[:, 2:3]
+    under, over = disc[:, 0] < 0, disc[:, 0] > 0
+    x = np.empty((th.shape[0], times.shape[0]))
+    c_t, s_t, decay = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        decay = np.exp(-0.5 * damp * t)
-
-        # underdamped: oscillation at omega = sqrt(4k - c^2) / 2
-        omega = np.sqrt(np.maximum(-disc, 0.0)) / 2.0
-        omega_safe = np.where(omega > 0, omega, 1.0)
-        cos_u = np.cos(omega_safe * t)
-        sin_u = np.sin(omega_safe * t)
-        b_u = w / omega_safe
-        x_under = decay * (x0 * cos_u + b_u * sin_u)
-
-        # overdamped: two real decay rates
-        s = np.sqrt(np.maximum(disc, 0.0))
-        s_safe = np.where(s > 0, s, 1.0)
-        r1 = 0.5 * (-damp + s_safe)
-        r2 = 0.5 * (-damp - s_safe)
-        e1 = np.exp(r1 * t)
-        e2 = np.exp(r2 * t)
-        a_o = (v0 - r2 * x0) / s_safe
-        x_over = a_o * e1 + (x0 - a_o) * e2
-
-        # critically damped: repeated root
-        x_crit = (x0 + w * t) * decay
-
-    def regime(under, over, crit):
-        return np.where(disc < 0, under, np.where(disc > 0, over, crit))
-
-    x = regime(x_under, x_over, x_crit)
+        for rows, regime in zip((under, over, ~(under | over)), _REGIMES):
+            if rows.any():
+                x[rows], c_t[rows], s_t[rows], decay[rows] = regime(
+                    th[rows], disc[rows], t)
     if not jacobian:
         return x
 
-    # e^{-ct/2} C, e^{-ct/2} S and e^{-ct/2} dS/dlam
-    c_t = regime(decay * cos_u, 0.5 * (e1 + e2), decay)
-    s_t = regime(decay * sin_u / omega_safe,
-                 -e1 * np.expm1(-s_safe * t) / s_safe, decay * t)
+    # c_t, s_t are e^{-ct/2} C and e^{-ct/2} S; ds_t is e^{-ct/2} dS/dlam
+    x0 = th[:, 0:1]
+    damp = th[:, 3:4]
+    w = th[:, 1:2] + 0.5 * damp * x0
     lam = 0.25 * disc
     lt2 = lam * t * t
     series = decay * t ** 3 / 6.0 * (1.0 + lt2 / 10.0 + lt2 * lt2 / 280.0)
@@ -243,6 +219,44 @@ def _trajectory(th, times, jacobian=False):
                     -0.5 * t * x + 0.5 * x0 * s_t + 0.5 * damp * dx_dlam],
                    axis=-1)
     return x, jac
+
+
+def _underdamped(th, disc, t):
+    """(x, e^{-ct/2} C, e^{-ct/2} S, e^{-ct/2}) for rows with disc < 0."""
+    x0, v0, damp = th[:, 0:1], th[:, 1:2], th[:, 3:4]
+    decay = np.exp(-0.5 * damp * t)
+    omega = np.sqrt(-disc) / 2.0  # oscillation at sqrt(4k - c^2) / 2
+    cos_u = np.cos(omega * t)
+    sin_u = np.sin(omega * t)
+    b_u = (v0 + 0.5 * damp * x0) / omega
+    x = decay * (x0 * cos_u + b_u * sin_u)
+    return x, decay * cos_u, decay * sin_u / omega, decay
+
+
+def _overdamped(th, disc, t):
+    """(x, e^{-ct/2} C, e^{-ct/2} S, e^{-ct/2}) for rows with disc > 0."""
+    x0, v0, damp = th[:, 0:1], th[:, 1:2], th[:, 3:4]
+    s = np.sqrt(disc)  # two real decay rates
+    r1 = 0.5 * (-damp + s)
+    r2 = 0.5 * (-damp - s)
+    e1 = np.exp(r1 * t)
+    e2 = np.exp(r2 * t)
+    a_o = (v0 - r2 * x0) / s
+    x = a_o * e1 + (x0 - a_o) * e2
+    return (x, 0.5 * (e1 + e2), -e1 * np.expm1(-s * t) / s,
+            np.exp(-0.5 * damp * t))
+
+
+def _critical(th, disc, t):
+    """(x, e^{-ct/2} C, e^{-ct/2} S, e^{-ct/2}) for rows with disc == 0 or
+    NaN."""
+    x0, v0, damp = th[:, 0:1], th[:, 1:2], th[:, 3:4]
+    decay = np.exp(-0.5 * damp * t)  # repeated root
+    x = (x0 + (v0 + 0.5 * damp * x0) * t) * decay
+    return x, decay, decay * t, decay
+
+
+_REGIMES = (_underdamped, _overdamped, _critical)
 
 
 def generate_ode_data(problem: ODEProblem, rng: np.random.Generator) -> np.ndarray:
@@ -268,6 +282,28 @@ def _theta_batch(theta) -> tuple[np.ndarray, bool]:
 def ode_log_prior(problem: ODEProblem, theta) -> np.ndarray:
     """Independent lognormal log-prior; -inf off the positive orthant."""
     th, single = _theta_batch(theta)
+    out = _log_prior(problem, th)
+    return out[0] if single else out
+
+
+def ode_log_likelihood(problem: ODEProblem, theta) -> np.ndarray:
+    """Gaussian log-likelihood of the observations; 0 with no data."""
+    th, single = _theta_batch(theta)
+    out = _log_likelihood(problem, th)
+    return out[0] if single else out
+
+
+def ode_log_posterior(problem: ODEProblem, theta) -> np.ndarray:
+    """Unnormalised log-posterior: log-prior + log-likelihood."""
+    th, single = _theta_batch(theta)
+    out = _log_posterior(problem, th)
+    return out[0] if single else out
+
+
+# the private helpers below take a batch _theta_batch has already checked
+
+
+def _log_prior(problem: ODEProblem, th: np.ndarray) -> np.ndarray:
     s = problem.prior_scale
     out = np.full(th.shape[0], -np.inf)
     ok = np.all(th > 0, axis=1)
@@ -275,34 +311,27 @@ def ode_log_prior(problem: ODEProblem, theta) -> np.ndarray:
         lt = np.log(th[ok])
         out[ok] = np.sum(-lt - 0.5 * (lt / s) ** 2, axis=1) \
             - 4.0 * np.log(s * np.sqrt(2.0 * np.pi))
-    return out[0] if single else out
+    return out
 
 
-def ode_log_likelihood(problem: ODEProblem, theta) -> np.ndarray:
-    """Gaussian log-likelihood of the observations; 0 with no data."""
-    th, single = _theta_batch(theta)
+def _log_likelihood(problem: ODEProblem, th: np.ndarray) -> np.ndarray:
     if problem.observations is None:
         raise ValueError("problem has no observations; generate data first")
     y = problem.observations
     if y.size == 0:
-        out = np.zeros(th.shape[0])
-        return out[0] if single else out
-    traj = ode_solution(th, problem.times)
-    resid = y - traj
+        return np.zeros(th.shape[0])
+    resid = y - _trajectory(th, problem.times)
     var = problem.noise_std ** 2
-    out = -0.5 * np.sum(resid * resid, axis=1) / var \
+    return -0.5 * np.sum(resid * resid, axis=1) / var \
         - 0.5 * y.size * np.log(2.0 * np.pi * var)
-    return out[0] if single else out
 
 
-def ode_log_posterior(problem: ODEProblem, theta) -> np.ndarray:
-    """Unnormalised log-posterior: log-prior + log-likelihood."""
-    th, single = _theta_batch(theta)
-    out = ode_log_prior(problem, th)
+def _log_posterior(problem: ODEProblem, th: np.ndarray) -> np.ndarray:
+    out = _log_prior(problem, th)
     ok = np.isfinite(out)
     if np.any(ok):
-        out[ok] = out[ok] + ode_log_likelihood(problem, th[ok])
-    return out[0] if single else out
+        out[ok] = out[ok] + _log_likelihood(problem, th[ok])
+    return out
 
 
 def ode_score(problem: ODEProblem, theta) -> np.ndarray:
@@ -345,6 +374,13 @@ class BenchmarkResult:
     burn_in: int
 
 
+def check_burn_in(chain_length: int, burn_in: int) -> None:
+    """Raise ValueError unless 0 < burn_in and at least 2 draws are kept."""
+    if not 0 < burn_in <= chain_length - 2:
+        raise ValueError("need 0 < burn_in <= chain_length - 2, so that at "
+                         "least 2 draws are kept after burn-in")
+
+
 def posterior_benchmark(problem: ODEProblem, chain_length: int, burn_in: int,
                         rng: np.random.Generator,
                         step_scale: float = 0.25) -> BenchmarkResult:
@@ -353,10 +389,11 @@ def posterior_benchmark(problem: ODEProblem, chain_length: int, burn_in: int,
     The walk runs in log-parameter space (so positivity is automatic,
     with the Jacobian folded into the target), starting from the prior
     median.  Returns the post-burn-in mean of the horizon position with
-    a batch-means standard error over 50 batches.
+    a batch-means standard error over 50 batches (below 100 kept draws,
+    half as many batches as draws and at least 2).  At least 2 draws must
+    be kept after burn-in, or the standard error is undefined.
     """
-    if not 0 < burn_in < chain_length:
-        raise ValueError("need 0 < burn_in < chain_length")
+    check_burn_in(chain_length, burn_in)
     psi = np.zeros(4)  # log of prior median
 
     def log_post_psi(p):

@@ -22,7 +22,15 @@ from kquad.controller import (
     trend_test,
 )
 from kquad.kernels import GaussianKernel, GaussianMeasure, SteinKernel
-from kquad.problems import ToyProblem, toy_integrand
+from kquad.problems import (
+    ODEProblem,
+    ToyProblem,
+    ode_log_posterior,
+    ode_predictive,
+    ode_score,
+    toy_integrand,
+    with_observations,
+)
 from kquad.controller import _bootstrap_error, _kl_error, _run_ladder
 from kquad.quadrature import (
     chol_factor_with_nugget,
@@ -30,7 +38,7 @@ from kquad.quadrature import (
     kq_fit,
     worst_case_error,
 )
-from kquad.smc import BoxUniform, ProposalPolicy
+from kquad.smc import ADAPTIVE_LOGNORMAL, BoxUniform, ProposalPolicy
 
 K1 = GaussianKernel([1.0])
 M1 = GaussianMeasure([0.0], [1.0])
@@ -548,6 +556,22 @@ def test_smc_kq_stein_route_runs():
                  n=10, n_particles=40, seed=3)
     assert np.isfinite(rep.estimate)
     assert abs(rep.estimate) < 0.5  # the target mean is 0
+
+
+def test_smc_kq_stein_frozen_bits():
+    # estimate and t_star of a small oscillator run, as recorded before
+    # regime-resolved trajectories and the in-place Stein Gram
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    box = (np.zeros(4), np.full(4, 10.0))
+    kernel = SteinKernel(GaussianKernel(np.full(4, 8.0)),
+                         lambda X: ode_score(problem, X))
+    rep = smc_kq(lambda X: ode_predictive(problem, X),
+                 lambda X: ode_log_posterior(problem, X), kernel,
+                 BoxUniform(*box), support=box, n=15, n_particles=60,
+                 proposal=ProposalPolicy(ADAPTIVE_LOGNORMAL), seed=1)
+    assert rep.estimate.hex() == "-0x1.0db4a2bc272ffp-4"
+    assert rep.t_star.hex() == "0x1.66de0eec2996ap-1"
+    assert rep.total_f_evals == 15
 
 
 def test_smc_kq_kl_accounts_for_every_evaluation():

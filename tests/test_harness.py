@@ -113,6 +113,17 @@ def test_benchmark_mode_keys():
         validate_config({"sweep.n": [5]}, benchmark=True)
 
 
+@pytest.mark.parametrize("chain_length, burn_in", [(21, 20), (20, 20),
+                                                     (500, 0)])
+def test_benchmark_mode_needs_two_kept_draws(chain_length, burn_in):
+    with pytest.raises(ConfigError, match="at least 2 draws"):
+        validate_config({"benchmark.chain_length": chain_length,
+                         "benchmark.burn_in": burn_in}, benchmark=True)
+    cfg = validate_config({"benchmark.chain_length": 22,
+                           "benchmark.burn_in": 20}, benchmark=True)
+    assert cfg.params["benchmark.chain_length"] == 22
+
+
 def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -371,6 +382,18 @@ def test_cli_config_error_exit_2(tmp_path):
     proc = run_cli(["run", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_cli_benchmark_one_kept_draw_is_a_config_error(tmp_path):
+    # used to write a NaN standard error into benchmark.json and exit 0
+    cfg = write_config(tmp_path, "bench.json", {
+        "benchmark.chain_length": 21, "benchmark.burn_in": 20,
+    })
+    proc = run_cli(["benchmark", str(cfg), "--out", str(tmp_path / "bench")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "burn_in" in proc.stderr
+    assert not (tmp_path / "bench" / "benchmark.json").exists()
 
 
 def test_cli_replicate_override_validation(tmp_path):

@@ -314,6 +314,61 @@ def test_stein_gram_rectangular_matches_stacked_block():
     assert_gram_matches_oracle(K, broadcast_stein_gram(kern, X, Y))
 
 
+def allocating_stein_gram(kernel, X, Y=None):
+    # SteinKernel.gram as it was before it worked in two (n, m) buffers:
+    # a fresh array per operation; kept as the bitwise oracle
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    UX = np.asarray(kernel.score(X), dtype=float)
+    same = Y is None
+    if same:
+        Y, UY = X, UX
+    else:
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        UY = np.asarray(kernel.score(Y), dtype=float)
+
+    def sq_dist(A, B):
+        D = (-2.0 * A) @ B.T
+        D += np.sum(A * A, axis=1)[:, None]
+        D += np.sum(B * B, axis=1)[None, :]
+        return np.maximum(D, 0.0, out=D)
+
+    ell = kernel.base.lengthscales
+    ell2 = ell * ell
+    XS, YS = X / ell2, Y / ell2
+    inner = sq_dist(XS, YS)
+    inner *= -4.0
+    inner += np.sum(2.0 / ell2)
+    inner += 2.0 * np.sum(XS * UX, axis=1)[:, None]
+    inner += 2.0 * np.sum(YS * UY, axis=1)[None, :]
+    inner -= (2.0 * XS) @ UY.T
+    inner -= (2.0 * UX) @ YS.T
+    inner += UX @ UY.T
+    K = np.exp(-sq_dist(X / ell, Y / ell))
+    K *= inner
+    K += 1.0
+    if same:
+        K += K.T
+        K *= 0.5
+    return K
+
+
+@pytest.mark.parametrize("m", [1, 2, 50, 255, 301])
+def test_stein_gram_matches_allocating_oracle_bitwise(m):
+    rng = np.random.default_rng(m)
+    X = rng.uniform(0.01, 10.0, size=(m, 4))
+    Y = rng.uniform(0.01, 10.0, size=(m + 7, 4))
+    for kern in (oscillator_stein_kernel(),
+                 SteinKernel(GaussianKernel([0.5, 1.0, 3.0, 8.0]),
+                             score=std_normal_score)):
+        K = kern.gram(X)
+        assert K.tobytes() == allocating_stein_gram(kern, X).tobytes()
+        assert np.array_equal(K, K.T)
+        for A, B in ((X, Y), (Y, X), (X[:1], Y)):
+            K = kern.gram(A, B)
+            assert K.shape == (A.shape[0], B.shape[0])
+            assert K.tobytes() == allocating_stein_gram(kern, A, B).tobytes()
+
+
 def test_stein_gram_exact_symmetry_and_diagonal():
     for kern, X in (
         (oscillator_stein_kernel(),

@@ -399,6 +399,122 @@ def test_trajectory_with_jacobian_returns_ode_solution_bitwise():
     assert np.array_equal(_trajectory(th, times), x)
 
 
+def all_regime_trajectory(th, times, jacobian=False):
+    # the _trajectory that evaluated all three damping regimes on every
+    # row and kept one with np.where; kept as the bitwise oracle
+    t = times[None, :]
+    x0 = th[:, 0:1]
+    v0 = th[:, 1:2]
+    stiff = th[:, 2:3]
+    damp = th[:, 3:4]
+    disc = damp * damp - 4.0 * stiff
+    w = v0 + 0.5 * damp * x0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.exp(-0.5 * damp * t)
+        omega = np.sqrt(np.maximum(-disc, 0.0)) / 2.0
+        omega_safe = np.where(omega > 0, omega, 1.0)
+        cos_u = np.cos(omega_safe * t)
+        sin_u = np.sin(omega_safe * t)
+        b_u = w / omega_safe
+        x_under = decay * (x0 * cos_u + b_u * sin_u)
+        s = np.sqrt(np.maximum(disc, 0.0))
+        s_safe = np.where(s > 0, s, 1.0)
+        r1 = 0.5 * (-damp + s_safe)
+        r2 = 0.5 * (-damp - s_safe)
+        e1 = np.exp(r1 * t)
+        e2 = np.exp(r2 * t)
+        a_o = (v0 - r2 * x0) / s_safe
+        x_over = a_o * e1 + (x0 - a_o) * e2
+        x_crit = (x0 + w * t) * decay
+
+    def regime(under, over, crit):
+        return np.where(disc < 0, under, np.where(disc > 0, over, crit))
+
+    x = regime(x_under, x_over, x_crit)
+    if not jacobian:
+        return x
+    c_t = regime(decay * cos_u, 0.5 * (e1 + e2), decay)
+    s_t = regime(decay * sin_u / omega_safe,
+                 -e1 * np.expm1(-s_safe * t) / s_safe, decay * t)
+    lam = 0.25 * disc
+    lt2 = lam * t * t
+    series = decay * t ** 3 / 6.0 * (1.0 + lt2 / 10.0 + lt2 * lt2 / 280.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ds_t = np.where(np.abs(lt2) < 1e-3, series,
+                        (t * c_t - s_t) / (2.0 * lam))
+    dx_dlam = 0.5 * x0 * t * s_t + w * ds_t
+    jac = np.stack([c_t + 0.5 * damp * s_t,
+                    s_t,
+                    -dx_dlam,
+                    -0.5 * t * x + 0.5 * x0 * s_t + 0.5 * damp * dx_dlam],
+                   axis=-1)
+    return x, jac
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def trajectory_oracle_batches():
+    rng = np.random.default_rng(31)
+    box = rng.uniform(0.01, 10.0, size=(400, 4))
+    disc = box[:, 3] ** 2 - 4.0 * box[:, 2]
+    assert np.any(disc < 0) and np.any(disc > 0)
+    critical = np.array([[1.0, 1.0, 1.0, 2.0], [0.5, 2.0, 0.25, 1.0]])
+    assert np.all(critical[:, 3] ** 2 - 4.0 * critical[:, 2] == 0.0)
+    mixed = np.vstack([box[:30], critical, near_critical_states(rng, 20, 0.0),
+                       near_critical_states(rng, 20, 1e-8)])
+    posterior = np.exp(rng.normal(0.0, 0.2, size=(100, 4))) * THETA_UNDER
+    batches = [box, mixed, posterior, critical, np.asfortranarray(mixed),
+               np.array([[np.nan, 1.0, 1.0, 1.0], THETA_OVER, THETA_UNDER])]
+    batches += [row[None, :] for row in np.vstack([critical, box[:10]])]
+    return batches
+
+
+@pytest.mark.parametrize("jacobian", [False, True])
+def test_trajectory_matches_all_regime_oracle_bitwise(jacobian):
+    # each row is evaluated in its own regime only, in mixed batches, on
+    # single rows and on exactly critical rows (disc == 0), and NaN rows
+    # take the critical formulas as before
+    for times in (ODEProblem().times, np.array([0.0]), np.linspace(0, 30, 7)):
+        for th in trajectory_oracle_batches():
+            got = _trajectory(th, times, jacobian=jacobian)
+            want = all_regime_trajectory(th, times, jacobian=jacobian)
+            if jacobian:
+                assert_bitwise(got[0], want[0])
+                assert_bitwise(got[1], want[1])
+            else:
+                assert_bitwise(got, want)
+
+
+def test_ode_score_and_log_posterior_are_row_wise_bitwise():
+    # a row's value does not depend on the batch it comes in, as smc_kq
+    # requires of log_target (particles carry their target values)
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    rng = np.random.default_rng(32)
+    th = np.vstack([rng.uniform(0.01, 10.0, size=(60, 4)),
+                    near_critical_states(rng, 5, 0.0)])
+    for fn in (ode_score, ode_log_posterior):
+        full = fn(problem, th)
+        for rows in (rng.permutation(65)[:17], np.arange(0, 65, 3), [4]):
+            assert_bitwise(fn(problem, th[rows]), full[rows])
+        for i in (0, 33, 64):
+            assert_bitwise(np.asarray(fn(problem, th[i])), full[i])
+
+
+def test_ode_log_posterior_matches_parts_bitwise_with_rows_off_support():
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    th = np.random.default_rng(33).uniform(0.01, 10.0, size=(50, 4))
+    th[[3, 17]] *= -1.0
+    post = ode_log_posterior(problem, th)
+    assert np.all(np.isinf(post[[3, 17]]))
+    ok = np.isfinite(post)
+    want = ode_log_prior(problem, th[ok]) + ode_log_likelihood(problem, th[ok])
+    assert_bitwise(post[ok], want)
+
+
 def test_ode_score_boundary_raises():
     problem = data_free_problem()
     with pytest.raises(ValueError):
@@ -441,6 +557,33 @@ def test_posterior_benchmark_replay_oracle():
 
     again = posterior_benchmark(problem, 300, 100, np.random.default_rng(0))
     assert again.value == got.value and again.std_error == got.std_error
+
+
+def test_posterior_benchmark_frozen_bits():
+    # value, standard error and acceptance rate of two short chains, as
+    # recorded before the oscillator batch was validated once per call
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    got = posterior_benchmark(problem, 2000, 500, np.random.default_rng(0))
+    assert (got.value.hex(), got.std_error.hex(),
+            got.acceptance_rate.hex()) == (
+        "-0x1.292073eea401bp-4", "0x1.f07a38631e2fap-8",
+        "0x1.d916872b020c5p-4")
+    with pytest.warns(RuntimeWarning):
+        got = posterior_benchmark(problem, 3000, 1000,
+                                  np.random.default_rng(7), step_scale=0.4)
+    assert (got.value.hex(), got.std_error.hex(),
+            got.acceptance_rate.hex()) == (
+        "-0x1.4fc9f84dfc4c2p-4", "0x1.1d790c16ce217p-7",
+        "0x1.62fc962fc9630p-5")
+
+
+def test_posterior_benchmark_needs_two_kept_draws():
+    # one kept draw gave empty batches and a NaN standard error
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        posterior_benchmark(problem, 21, 20, np.random.default_rng(0))
+    got = posterior_benchmark(problem, 22, 20, np.random.default_rng(0))
+    assert np.isfinite(got.std_error)
 
 
 def test_posterior_benchmark_two_chains_agree():
