@@ -73,6 +73,8 @@ def main(argv=None) -> int:
             if args.replicates < 1:
                 raise ConfigError("--replicates must be >= 1")
             cfg = replace(cfg, replicates=args.replicates)
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError("--threads must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -81,8 +83,7 @@ def main(argv=None) -> int:
         if args.command == "benchmark":
             out = run_benchmark(cfg, _resolve_out(args.out, cfg))
         else:
-            threads = max(1, args.threads)
-            out = run(cfg, _resolve_out(args.out, cfg), threads=threads)
+            out = run(cfg, _resolve_out(args.out, cfg), threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -515,17 +515,17 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
               n: int, n_particles: int, rho: float = 0.95, delta: float = 0.1,
               m_boot: int = 20,
               proposal: ProposalPolicy = ProposalPolicy(),
-              sweeps: int = 1, refit_every: int = 1,
-              terminate_early: bool = True, seed: int = 0) -> RunReport:
+              sweeps: int = 1, terminate_early: bool = True,
+              seed: int = 0) -> RunReport:
     """Adaptively tempered kernel quadrature with kernel learning.
 
     Like the fixed-kernel driver, but each temperature draws a fresh
     size-n subset of the unique particle states, evaluates the integrand
-    there through a cache, refits kernel parameters by marginal
-    likelihood (every refit_every temperatures), and monitors the
-    bootstrap error statistic times the interpolant norm.  The final rule
-    is fitted on every cached evaluation point with the parameters from
-    the selected temperature, so no integrand evaluation is wasted.
+    there through a cache, refits kernel parameters on it by marginal
+    likelihood, and monitors the bootstrap error statistic times the
+    interpolant norm.  The final rule is fitted on every cached
+    evaluation point with the parameters from the selected temperature,
+    so no integrand evaluation is wasted.
 
     log_target must be row-wise, as for smc_kq: a row's value must not
     depend on the other rows of the batch, because the particles carry
@@ -533,23 +533,18 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
     """
     if n_particles < 2 * n:
         raise ValueError("n_particles must be at least 2 * n")
-    if refit_every < 1:
-        raise ValueError("refit_every must be >= 1")
     rng = np.random.default_rng(seed)
     cache = EvalCache()
-    state = {"params": None, "since_fit": 0, "entry_params": []}
+    entry_params = []  # the kernel parameters fitted at each rung
 
     def record(system: ParticleSystem) -> TraceEntry:
         unique = _unique_states(system.states, n)
         idx = rng.choice(unique.shape[0], size=n, replace=False)
         subset = unique[idx]
         f_sub = cache.evaluate(f, subset)
-        if state["params"] is None or state["since_fit"] >= refit_every:
-            state["params"] = kern_param_fit(f_sub, subset, family)
-            state["since_fit"] = 0
-        state["since_fit"] += 1
-        kernel = family.build(state["params"])
-        state["entry_params"].append(state["params"])
+        params = kern_param_fit(f_sub, subset, family)
+        entry_params.append(params)
+        kernel = family.build(params)
         rest = unique[np.setdiff1d(np.arange(unique.shape[0]), idx,
                                    assume_unique=False)]
         stat, max_nugget = _kl_error(kernel, measure,
@@ -561,7 +556,7 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
                            n_particles, proposal, rng, sweeps, record,
                            terminate_early)
     chosen = select_rule_entry(trace) if terminate_early else len(trace) - 1
-    params = state["entry_params"][chosen]
+    params = entry_params[chosen]
     kernel = family.build(params)
     points = cache.points()
     rule = kq_fit(kernel, measure, points)
@@ -589,7 +584,8 @@ def temperature_error_profile(log_target: Callable[[np.ndarray], np.ndarray],
     as locating the error-minimising temperature.
     """
     ladder = np.asarray(ladder, dtype=float)
-    if ladder.ndim != 1 or ladder[0] != 0.0 or np.any(np.diff(ladder) <= 0):
+    if ladder.ndim != 1 or ladder.size == 0 or ladder[0] != 0.0 \
+            or np.any(np.diff(ladder) <= 0):
         raise ValueError("ladder must start at 0 and strictly increase")
     if ladder[-1] > 1.0:
         raise ValueError("ladder must stay within [0, 1]")

@@ -1,13 +1,12 @@
 """Batch experiment harness: JSON configs in, CSV/JSON results out.
 
 A config is a flat JSON object: top-level keys (experiment, replicates,
-seed, output_path, record_wall_time) plus dotted keys for experiment
-parameters ("method.n", "reference.std", ...).  Unknown keys are
-rejected so typos fail loudly.  Every experiment writes results.csv with
-a fixed 11-column schema and summary.json with per-cell aggregates;
-adaptive runs additionally write trace_<replicate>.csv ladders.  With
-record_wall_time left at its default (false) the output bytes are a pure
-function of (config, seed).
+seed, output_path) plus dotted keys for experiment parameters
+("method.n", "reference.std", ...).  Unknown keys are rejected so typos
+fail loudly.  Every experiment writes results.csv with a fixed 11-column
+schema and summary.json with per-cell aggregates; adaptive runs
+additionally write trace_<replicate>.csv ladders.  The output bytes are a
+pure function of (config, seed); the wall_time_ms column is always 0.0.
 
 Per-replicate randomness is derived as SeedSequence(seed,
 spawn_key=(method_index, replicate)), so adding methods or replicates
@@ -19,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -113,7 +111,6 @@ _COMMON_KEYS = {
     "replicates": 10,
     "seed": 0,
     "output_path": "out",
-    "record_wall_time": False,
 }
 
 _METHOD_KEYS = {
@@ -130,7 +127,7 @@ _METHOD_KEYS = {
 _TOY_KEYS = {
     "problem.d": 1,
     "problem.frequency": 2.0 * math.pi,
-    "kernel.lengthscale": None,  # default derived from the problem
+    "kernel.lengthscale": float,  # default derived from the problem
     "reference.std": 8.0,
 }
 
@@ -145,13 +142,12 @@ _EXPERIMENT_KEYS = {
         **_TOY_KEYS, **_METHOD_KEYS,
         "family.low": 0.05,
         "family.high": 5.0,
-        "method.refit_every": 1,
     },
     "ode": {
         **_METHOD_KEYS,
         "method.n": 50,
         "method.proposal": ADAPTIVE_LOGNORMAL,
-        "ode.benchmark_path": None,  # required
+        "ode.benchmark_path": str,  # required
         "kernel.lengthscales": [8.0, 8.0, 8.0, 8.0],
     },
     "bach-diagnostic": {
@@ -198,11 +194,15 @@ class RunConfig:
     replicates: int
     seed: int
     output_path: str
-    record_wall_time: bool
     params: dict
 
 
 def _check_type(key, value, default):
+    """Check value against its default; a type means no default value."""
+    if isinstance(default, type):
+        if value is None:  # null leaves the key unset
+            return
+        default = default()
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"key {key!r} must be a boolean")
@@ -249,14 +249,13 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
         _check_type(key, value, known[key])
         params[key] = value
     for key, default in known.items():
-        params.setdefault(key, default)
+        params.setdefault(key, None if isinstance(default, type) else default)
 
     replicates = int(params.pop("replicates"))
     if replicates < 1:
         raise ConfigError("key 'replicates' must be >= 1")
     seed = int(params.pop("seed"))
     output_path = str(params.pop("output_path"))
-    record_wall_time = bool(params.pop("record_wall_time"))
     if "method.proposal" in params and params["method.proposal"] not in _PROPOSALS:
         raise ConfigError("key 'method.proposal' must be one of "
                           + ", ".join(_PROPOSALS))
@@ -272,8 +271,7 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
         raise ConfigError("key 'ode.benchmark_path' is required; run the "
                           "'benchmark' subcommand first")
     return RunConfig(experiment=experiment, replicates=replicates, seed=seed,
-                     output_path=output_path,
-                     record_wall_time=record_wall_time, params=params)
+                     output_path=output_path, params=params)
 
 
 def load_config(path, benchmark: bool = False) -> RunConfig:
@@ -315,9 +313,7 @@ def _toy_pieces(params):
                          frequency=float(params["problem.frequency"]))
     ell = params.get("kernel.lengthscale")
     ell = default_toy_lengthscale(problem) if ell is None else float(ell)
-    kernel = GaussianKernel(np.full(problem.d, ell))
-    measure = problem.target()
-    return problem, kernel, measure
+    return problem, GaussianKernel(np.full(problem.d, ell))
 
 
 def _ladder_kwargs(p):
@@ -331,21 +327,24 @@ def _ladder_kwargs(p):
                 sweeps=int(p["method.sweeps"]))
 
 
-def _timed(enabled):
-    return time.perf_counter() if enabled else 0.0
-
-
-def _elapsed_ms(start, enabled):
-    return (time.perf_counter() - start) * 1e3 if enabled else 0.0
-
-
 def _report_row(cfg: RunConfig, r: int, method: str, report, truth: float,
-                ms: float, seed: int) -> ResultRow:
+                seed: int) -> ResultRow:
     """The row of one adaptive run's RunReport."""
     return ResultRow(cfg.experiment, r, method, report.n_quadrature_points,
                      report.estimate, abs(report.estimate - truth),
                      report.t_star, report.total_f_evals,
-                     report.final_nugget, ms, seed)
+                     report.final_nugget, 0.0, seed)
+
+
+def _rule_row(cfg: RunConfig, r: int, method: str, seed: int, problem,
+              kernel, pts: np.ndarray, f_vals: np.ndarray) -> ResultRow:
+    """The row of the toy's KQ rule on nodes pts, with f_vals = f(pts)."""
+    rule = kq_fit(kernel, problem.target(), pts)
+    est = kq_estimate(rule, f_vals)
+    n = pts.shape[0]
+    return ResultRow(cfg.experiment, r, method, n, est,
+                     abs(est - problem.true_value), None, n,
+                     rule.nugget_used, 0.0, seed)
 
 
 def _trace_file(r: int, trace):
@@ -357,17 +356,12 @@ def _trace_file(r: int, trace):
 
 def _toy_kq_row(cfg: RunConfig, method: str, method_idx: int, r: int,
                 n: int, sigma: float) -> ResultRow:
-    problem, kernel, measure = _toy_pieces(cfg.params)
+    problem, kernel = _toy_pieces(cfg.params)
     seed = replicate_seed(cfg.seed, method_idx, r)
     rng = np.random.default_rng(seed)
-    start = _timed(cfg.record_wall_time)
     pts = sigma * rng.standard_normal((n, problem.d))
-    rule = kq_fit(kernel, measure, pts)
-    est = kq_estimate(rule, toy_integrand(problem, pts))
-    ms = _elapsed_ms(start, cfg.record_wall_time)
-    return ResultRow(cfg.experiment, r, method, n, est,
-                     abs(est - problem.true_value), None, n,
-                     rule.nugget_used, ms, seed)
+    return _rule_row(cfg, r, method, seed, problem, kernel, pts,
+                     toy_integrand(problem, pts))
 
 
 def _run_toy_sweep(cfg: RunConfig, r: int):
@@ -383,25 +377,24 @@ def _run_toy_sweep(cfg: RunConfig, r: int):
 
 
 def _run_toy_smckq(cfg: RunConfig, r: int):
-    problem, kernel, measure = _toy_pieces(cfg.params)
+    problem, kernel = _toy_pieces(cfg.params)
+    measure = problem.target()
     p = cfg.params
     n = int(p["method.n"])
     reference = GaussianMeasure(np.zeros(problem.d),
                                 np.full(problem.d, float(p["reference.std"])))
     seed = replicate_seed(cfg.seed, 0, r)
-    start = _timed(cfg.record_wall_time)
     report = smc_kq(
         lambda X: toy_integrand(problem, X), measure.log_density, kernel,
         reference, measure=measure, seed=seed, **_ladder_kwargs(p))
-    ms = _elapsed_ms(start, cfg.record_wall_time)
-    rows = [_report_row(cfg, r, "smc-kq", report, problem.true_value, ms,
-                        seed),
+    rows = [_report_row(cfg, r, "smc-kq", report, problem.true_value, seed),
             _toy_kq_row(cfg, "kq", 1, r, n, 1.0)]
     return rows, _trace_file(r, report.trace)
 
 
 def _run_toy_smckq_kl(cfg: RunConfig, r: int):
-    problem, _, measure = _toy_pieces(cfg.params)
+    problem, _ = _toy_pieces(cfg.params)
+    measure = problem.target()
     p = cfg.params
     n = int(p["method.n"])
     family = gaussian_lengthscale_family(problem.d,
@@ -410,30 +403,20 @@ def _run_toy_smckq_kl(cfg: RunConfig, r: int):
     reference = GaussianMeasure(np.zeros(problem.d),
                                 np.full(problem.d, float(p["reference.std"])))
     seed = replicate_seed(cfg.seed, 0, r)
-    start = _timed(cfg.record_wall_time)
     report = smc_kq_kl(
         lambda X: toy_integrand(problem, X), measure.log_density, family,
-        reference, measure=measure,
-        refit_every=int(p["method.refit_every"]), seed=seed,
-        **_ladder_kwargs(p))
-    ms = _elapsed_ms(start, cfg.record_wall_time)
-    rows = [_report_row(cfg, r, "smc-kq-kl", report, problem.true_value, ms,
-                        seed)]
+        reference, measure=measure, seed=seed, **_ladder_kwargs(p))
 
-    # baseline: same budget of fresh target samples, lengthscale fitted on them
+    # baseline: method.n fresh target draws, lengthscale fitted on them;
+    # smc-kq-kl spends many more integrand evaluations than these n
     seed_b = replicate_seed(cfg.seed, 1, r)
-    rng = np.random.default_rng(seed_b)
-    start = _timed(cfg.record_wall_time)
-    pts = rng.standard_normal((n, problem.d))
+    pts = np.random.default_rng(seed_b).standard_normal((n, problem.d))
     f_vals = toy_integrand(problem, pts)
-    params_hat = kern_param_fit(f_vals, pts, family)
-    kernel_hat = family.build(params_hat)
-    rule = kq_fit(kernel_hat, measure, pts)
-    est = kq_estimate(rule, f_vals)
-    ms = _elapsed_ms(start, cfg.record_wall_time)
-    rows.append(ResultRow(cfg.experiment, r, "kq-kl", n, est,
-                          abs(est - problem.true_value), None, n,
-                          rule.nugget_used, ms, seed_b))
+    kernel_hat = family.build(kern_param_fit(f_vals, pts, family))
+    rows = [_report_row(cfg, r, "smc-kq-kl", report, problem.true_value,
+                        seed),
+            _rule_row(cfg, r, "kq-kl", seed_b, problem, kernel_hat, pts,
+                      f_vals)]
     return rows, _trace_file(r, report.trace)
 
 
@@ -466,35 +449,29 @@ def _run_ode(cfg: RunConfig, r: int):
     rows, files = [], {}
     for mi, (method, early) in enumerate([("smc-kq", True), ("kq", False)]):
         seed = replicate_seed(cfg.seed, mi, r)
-        start = _timed(cfg.record_wall_time)
         report = smc_kq(
             lambda X: ode_predictive(problem, X),
             lambda X: ode_log_posterior(problem, X), kernel, reference,
             measure=None, support=(lo, hi), terminate_early=early, seed=seed,
             **_ladder_kwargs(p))
-        ms = _elapsed_ms(start, cfg.record_wall_time)
-        rows.append(_report_row(cfg, r, method, report, truth, ms, seed))
+        rows.append(_report_row(cfg, r, method, report, truth, seed))
         if early:
             files = _trace_file(r, report.trace)
     return rows, files
 
 
 def _run_halton_compare(cfg: RunConfig, r: int):
-    problem, kernel, measure = _toy_pieces(cfg.params)
+    problem, kernel = _toy_pieces(cfg.params)
     p = cfg.params
     sigma_h = float(p["halton.sigma"])
     rows = []
     for ni, n in enumerate(int(v) for v in p["sweep.n"]):
         if r == 0:  # Halton rules are deterministic: one replicate each
-            for mi, scale in ((0, 1.0), (1, sigma_h)):
-                u = halton_points(n, problem.d)
-                pts = scale * gaussian_inverse_cdf(u)
-                rule = kq_fit(kernel, measure, pts)
-                est = kq_estimate(rule, toy_integrand(problem, pts))
-                rows.append(ResultRow(
-                    cfg.experiment, 0, f"kq-halton(sigma={scale:g})", n, est,
-                    abs(est - problem.true_value), None, n, rule.nugget_used,
-                    0.0, cfg.seed))
+            for scale in (1.0, sigma_h):
+                pts = scale * gaussian_inverse_cdf(halton_points(n, problem.d))
+                rows.append(_rule_row(
+                    cfg, 0, f"kq-halton(sigma={scale:g})", cfg.seed, problem,
+                    kernel, pts, toy_integrand(problem, pts)))
         rows.append(_toy_kq_row(cfg, "kq-iid(sigma=1)",
                                 _HALTON_IID_METHOD + ni, r, n, 1.0))
     return rows, {}
@@ -520,11 +497,8 @@ def _run_sbq_demo(cfg: RunConfig, r: int):
         kernel = GaussianKernel(np.asarray([ell]))
         idx = sbq_greedy_select(kernel, measure, grid, count, seed_index)
         sel = grid[idx]
-        rule = kq_fit(kernel, measure, sel)
-        est = kq_estimate(rule, toy_integrand(problem, sel))
-        rows.append(ResultRow(cfg.experiment, 0, f"sbq(l={ell:g})", count,
-                              est, abs(est - problem.true_value), None, count,
-                              rule.nugget_used, 0.0, cfg.seed))
+        rows.append(_rule_row(cfg, 0, f"sbq(l={ell:g})", cfg.seed, problem,
+                              kernel, sel, toy_integrand(problem, sel)))
         for order, x in enumerate(sel[:, 0]):
             points.append((ell, order, float(x)))
     return rows, {"sbq_points.csv": (["lengthscale", "order", "x"], points)}

@@ -15,8 +15,7 @@ system evaluates them once, reweighting and the temperature solve read
 them, and a Metropolis-Hastings sweep evaluates the target only on its
 proposals; accepted proposals and resampled copies take their values with
 them.  Each row's log_target value must therefore depend on that row
-alone, never on the other rows of the batch it was computed in.  A system
-built without densities evaluates them from the target when needed.
+alone, never on the other rows of the batch it was computed in.
 
 All operations are functional: they return new ParticleSystem instances
 and treat state arrays as immutable.
@@ -138,17 +137,12 @@ class TemperedTarget:
             log_target[mask] = self.log_target(Xin)
         return log_ref, log_target
 
-    def log_tempered(self, X, t: float) -> np.ndarray:
-        """log pi_t up to a constant; -inf outside the support box."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"temperature {t} outside [0, 1]")
-        return _log_tempered(self.in_support(X), *self.densities(X), t)
 
-
-def _log_ratio(inside, log_ref, log_target) -> np.ndarray:
-    """log pi - log pi_0, with -inf outside the support box."""
+def _log_ratio(system: ParticleSystem, target: TemperedTarget) -> np.ndarray:
+    """log pi - log pi_0 at the system's states, -inf outside the box."""
+    inside = target.in_support(system.states)
     out = np.full(inside.shape[0], -np.inf)
-    out[inside] = log_target[inside] - log_ref[inside]
+    out[inside] = system.log_target[inside] - system.log_ref[inside]
     return out
 
 
@@ -170,19 +164,17 @@ def _log_tempered(inside, log_ref, log_target, t: float) -> np.ndarray:
 class ParticleSystem:
     """Weighted particles at a temperature: states (N, d), weights (N,).
 
-    log_ref and log_target, when given, are the reference and target
-    log-densities of the states (N,), -inf outside the support box, as
+    log_ref and log_target are the reference and target log-densities of
+    the states (N,), -inf outside the support box, as
     TemperedTarget.densities returns them.  They belong to the target the
-    system is reweighted and moved with; a system without them evaluates
-    that target when it needs them.
+    system is reweighted and moved with.
     """
 
     states: np.ndarray
     weights: np.ndarray
     t: float
-    log_ref: np.ndarray | None = field(default=None, compare=False, repr=False)
-    log_target: np.ndarray | None = field(default=None, compare=False,
-                                          repr=False)
+    log_ref: np.ndarray = field(compare=False, repr=False)
+    log_target: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -195,10 +187,7 @@ class ParticleSystem:
             raise ValueError("weights must sum to 1")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"temperature {self.t} outside [0, 1]")
-        if (self.log_ref is None) != (self.log_target is None):
-            raise ValueError("log_ref and log_target are carried together")
-        if self.log_ref is not None and not (
-                np.shape(self.log_ref) == np.shape(self.log_target)
+        if not (np.shape(self.log_ref) == np.shape(self.log_target)
                 == weights.shape):
             raise ValueError("carried log-densities must match weights (N,)")
         object.__setattr__(self, "states", states)
@@ -207,19 +196,6 @@ class ParticleSystem:
     @property
     def n_particles(self) -> int:
         return self.states.shape[0]
-
-
-def _densities(system: ParticleSystem, target: TemperedTarget):
-    """(in-support mask, log_ref, log_target) of the system's states.
-
-    The log-densities are the carried ones; the target is evaluated only
-    when the system carries none.
-    """
-    if system.log_ref is None:
-        log_ref, log_target = target.densities(system.states)
-    else:
-        log_ref, log_target = system.log_ref, system.log_target
-    return target.in_support(system.states), log_ref, log_target
 
 
 @dataclass(frozen=True)
@@ -241,17 +217,16 @@ class ProposalPolicy:
 
 
 def init_particles(reference, n_particles: int, rng: np.random.Generator,
-                   target: TemperedTarget | None = None) -> ParticleSystem:
+                   target: TemperedTarget) -> ParticleSystem:
     """Equal-weight draw of n_particles from the reference, at t = 0.
 
-    With a target, the system carries its densities at the drawn states.
+    The system carries the target's densities at the drawn states.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
     states = reference.sample(rng, n_particles)
     weights = np.full(n_particles, 1.0 / n_particles)
-    log_ref, log_target = (None, None) if target is None \
-        else target.densities(states)
+    log_ref, log_target = target.densities(states)
     return ParticleSystem(states=states, weights=weights, t=0.0,
                           log_ref=log_ref, log_target=log_target)
 
@@ -314,7 +289,7 @@ def cess(system: ParticleSystem, target: TemperedTarget,
     """
     if not system.t <= t_candidate <= 1.0:
         raise ValueError("t_candidate must lie between the temperature and 1")
-    lr = _log_ratio(*_densities(system, target))
+    lr = _log_ratio(system, target)
     return _cess_curve(system.weights, lr)(t_candidate - system.t)
 
 
@@ -334,8 +309,7 @@ def next_temperature(system: ParticleSystem, target: TemperedTarget,
         raise ValueError("rho must lie in (0, 1)")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    lr = _log_ratio(*_densities(system, target))
-    curve = _cess_curve(system.weights, lr)
+    curve = _cess_curve(system.weights, _log_ratio(system, target))
     level = rho * system.n_particles
 
     def g(t):
@@ -364,8 +338,7 @@ def reweight(system: ParticleSystem, target: TemperedTarget,
     """
     if t_next < system.t:
         raise ValueError("t_next must not decrease the temperature")
-    inside, log_ref, log_target = _densities(system, target)
-    lr = _log_ratio(inside, log_ref, log_target)
+    lr = _log_ratio(system, target)
     with np.errstate(divide="ignore"):
         logw = np.where(system.weights > 0, np.log(system.weights), -np.inf)
     dt = t_next - system.t
@@ -378,7 +351,8 @@ def reweight(system: ParticleSystem, target: TemperedTarget,
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateWeightsError("reweighting produced a zero total mass")
     return ParticleSystem(states=system.states, weights=u / total, t=t_next,
-                          log_ref=log_ref, log_target=log_target)
+                          log_ref=system.log_ref,
+                          log_target=system.log_target)
 
 
 def resample_multinomial(system: ParticleSystem,
@@ -389,10 +363,10 @@ def resample_multinomial(system: ParticleSystem,
     """
     n = system.n_particles
     idx = rng.choice(n, size=n, p=system.weights)
-    carried = {} if system.log_ref is None else {
-        "log_ref": system.log_ref[idx], "log_target": system.log_target[idx]}
     return ParticleSystem(states=system.states[idx],
-                          weights=np.full(n, 1.0 / n), t=system.t, **carried)
+                          weights=np.full(n, 1.0 / n), t=system.t,
+                          log_ref=system.log_ref[idx],
+                          log_target=system.log_target[idx])
 
 
 def _weighted_mean_cov(states, weights):
@@ -438,8 +412,9 @@ def markov_move(system: ParticleSystem, target: TemperedTarget,
     states = system.states
     n, d = states.shape
     t = system.t
-    inside, log_ref, log_target = _densities(system, target)
-    log_pi_cur = _log_tempered(inside, log_ref, log_target, t)
+    log_ref, log_target = system.log_ref, system.log_target
+    log_pi_cur = _log_tempered(target.in_support(states), log_ref,
+                               log_target, t)
     for _ in range(sweeps):
         if policy.kind == RANDOM_WALK:
             noise = rng.standard_normal((n, d))

@@ -51,8 +51,9 @@ def test_all_resolves_without_duplicates():
 
 
 def test_no_nugget_knob_above_the_factor():
-    # the jitter ladder is fixed below chol_factor_with_nugget, and the
-    # ladder and refit loops have fixed bounds and tolerances
+    # the jitter ladder is fixed below chol_factor_with_nugget, the
+    # ladder and refit loops have fixed bounds and tolerances, and the
+    # kernel-learning ladder refits at every rung
     assert "NuggetPolicy" not in kquad.__all__
     for module in (kquad, kquad.controller, kquad.quadrature):
         for name in module.__all__:
@@ -60,7 +61,8 @@ def test_no_nugget_knob_above_the_factor():
             if not inspect.isfunction(obj):
                 continue
             params = set(inspect.signature(obj).parameters)
-            assert not {"max_steps", "cycles", "tol"} & params, \
+            loop_knobs = {"max_steps", "cycles", "tol", "refit_every"}
+            assert not loop_knobs & params, \
                 f"{module.__name__}.{name} takes a loop knob"
             if name != "chol_factor_with_nugget":
                 assert not {"nugget", "policy"} & params, \

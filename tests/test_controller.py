@@ -604,9 +604,6 @@ def test_smc_kq_kl_validation():
     with pytest.raises(ValueError):
         smc_kq_kl(f, measure.log_density, family, reference, measure=measure,
                   n=6, n_particles=11, seed=0)
-    with pytest.raises(ValueError):
-        smc_kq_kl(f, measure.log_density, family, reference, measure=measure,
-                  n=6, n_particles=24, refit_every=0, seed=0)
 
 
 # --- fixed-ladder diagnostics ---
@@ -638,6 +635,8 @@ def test_temperature_error_profile_ladder_validation():
         run([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         run([0.0, 0.5, 1.1])
+    with pytest.raises(ValueError):
+        run([])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

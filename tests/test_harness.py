@@ -73,12 +73,41 @@ def test_key_type_errors():
         validate_config({"experiment": "toy-sweep", "replicates": 2.5})
     with pytest.raises(ConfigError, match="replicates"):
         validate_config({"experiment": "toy-sweep", "replicates": 0})
-    with pytest.raises(ConfigError, match="record_wall_time"):
-        validate_config({"experiment": "toy-sweep", "record_wall_time": 1})
     with pytest.raises(ConfigError, match="sweep.n"):
         validate_config({"experiment": "toy-sweep", "sweep.n": 5})
     with pytest.raises(ConfigError, match="sweep.n"):
         validate_config({"experiment": "toy-sweep", "sweep.n": []})
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("toy-smckq", "kernel.lengthscale", "big"),
+    ("toy-sweep", "kernel.lengthscale", [1.0]),
+    ("ode", "ode.benchmark_path", 7),
+])
+def test_keys_without_a_default_value_are_type_checked(experiment, key,
+                                                       value):
+    with pytest.raises(ConfigError, match=key):
+        validate_config({"experiment": experiment, key: value})
+
+
+def test_null_keeps_a_key_without_a_default_value_unset():
+    cfg = validate_config({"experiment": "toy-smckq",
+                           "kernel.lengthscale": None})
+    assert cfg.params["kernel.lengthscale"] is None
+    assert validate_config({"experiment": "toy-smckq",
+                            "kernel.lengthscale": 2}
+                           ).params["kernel.lengthscale"] == 2
+    with pytest.raises(ConfigError, match="ode.benchmark_path"):
+        validate_config({"experiment": "ode", "ode.benchmark_path": None})
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("toy-sweep", "record_wall_time"),
+    ("toy-smckq-kl", "method.refit_every"),
+])
+def test_removed_settings_are_unknown_keys(experiment, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        validate_config({"experiment": experiment, key: 1})
 
 
 def test_proposal_validation():
@@ -97,7 +126,6 @@ def test_defaults_are_filled_in():
     assert cfg.replicates == 10
     assert cfg.seed == 0
     assert cfg.output_path == "out"
-    assert cfg.record_wall_time is False
     assert cfg.params["sweep.sigmas"] == [1.0, 2.0, 3.0, 5.0]
     assert cfg.params["sweep.n"] == [10, 25, 50, 75]
     assert cfg.params["reference.std"] == 8.0
@@ -403,6 +431,31 @@ def test_cli_replicate_override_validation(tmp_path):
     proc = run_cli(["run", str(cfg), "--replicates", "0"], cwd=tmp_path)
     assert proc.returncode == 2
     assert "replicates" in proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_thread_count_validation(tmp_path, threads):
+    # used to run silently with one worker
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "toy-sweep", "sweep.sigmas": [1.0], "sweep.n": [5],
+    })
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"),
+                    "--threads", threads], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "--threads" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_key_type_is_a_config_error(tmp_path):
+    # used to pass validation and exit 3 on float('big') in the run
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "toy-smckq", "kernel.lengthscale": "big",
+    })
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "kernel.lengthscale" in proc.stderr
 
 
 def test_cli_runtime_error_exit_3(tmp_path):

@@ -35,9 +35,16 @@ def std_normal_target():
     )
 
 
-def system_2(w1, w2, t=0.0):
-    return ParticleSystem(states=np.array([[0.0], [1.0]]),
-                          weights=np.array([w1, w2]), t=t)
+def carrying(target, states, weights, t=0.0):
+    """A particle system carrying the target's densities at its states."""
+    states = np.asarray(states, dtype=float)
+    log_ref, log_target = target.densities(states)
+    return ParticleSystem(states=states, weights=np.asarray(weights), t=t,
+                          log_ref=log_ref, log_target=log_target)
+
+
+def system_2(w1, w2, t=0.0, target=FLAT):
+    return carrying(target, [[0.0], [1.0]], [w1, w2], t)
 
 
 # --- effective sample size ---
@@ -59,7 +66,8 @@ def test_cess_zero_increment_safe_outside_support():
     target = TemperedTarget(log_ref=lambda X: np.zeros(X.shape[0]),
                             log_target=lambda X: np.zeros(X.shape[0]),
                             support=(np.array([-0.5]), np.array([0.5])))
-    sys2 = system_2(0.5, 0.5)  # second particle sits outside the box
+    # the second particle sits outside the box
+    sys2 = system_2(0.5, 0.5, target=target)
     assert cess(sys2, target, 0.0) == pytest.approx(2.0, rel=1e-14)
 
 
@@ -68,7 +76,8 @@ def test_cess_analytic_two_particles():
     c = 2.0 * np.log(2.0)
     target = TemperedTarget(log_ref=lambda X: np.zeros(X.shape[0]),
                             log_target=lambda X: c * X[:, 0])
-    assert cess(system_2(0.5, 0.5), target, 0.5) == pytest.approx(1.8, rel=1e-12)
+    assert cess(system_2(0.5, 0.5, target=target), target, 0.5) \
+        == pytest.approx(1.8, rel=1e-12)
 
 
 def test_cess_support_mask_zeroes_particle():
@@ -76,7 +85,8 @@ def test_cess_support_mask_zeroes_particle():
     target = TemperedTarget(log_ref=lambda X: np.zeros(X.shape[0]),
                             log_target=lambda X: np.zeros(X.shape[0]),
                             support=(np.array([-0.5]), np.array([0.5])))
-    assert cess(system_2(0.5, 0.5), target, 0.5) == pytest.approx(1.0, rel=1e-12)
+    assert cess(system_2(0.5, 0.5, target=target), target, 0.5) \
+        == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cess_rejects_decreasing_temperature():
@@ -95,7 +105,7 @@ def test_cess_degenerate_when_all_mass_outside():
                             log_target=lambda X: np.zeros(X.shape[0]),
                             support=(np.array([5.0]), np.array([6.0])))
     with pytest.raises(DegenerateWeightsError):
-        cess(system_2(0.5, 0.5), target, 0.5)
+        cess(system_2(0.5, 0.5, target=target), target, 0.5)
 
 
 # --- adaptive temperature selection ---
@@ -111,8 +121,8 @@ def test_next_temperature_matches_brentq_oracle():
     rng = np.random.default_rng(11)
     states = rng.uniform(-5.0, 5.0, size=(64, 1))
     weights = np.full(64, 1 / 64)
-    system = ParticleSystem(states=states, weights=weights, t=0.0)
     target = std_normal_target()
+    system = carrying(target, states, weights)
     rho = 0.99
     level = rho * 64
 
@@ -178,16 +188,14 @@ def boxed_target_with_holes():
                           support=(np.full(2, -3.0), np.full(2, 3.0)))
 
 
-def random_system(rng, carried_target=None):
+def random_system(rng, target):
     n = int(rng.integers(20, 300))
     states = rng.normal(0.0, 2.0, size=(n, 2))
     weights = rng.exponential(size=n)
     weights[rng.uniform(size=n) < 0.2] = 0.0
     weights /= weights.sum()
     t = float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
-    densities = {} if carried_target is None else dict(zip(
-        ("log_ref", "log_target"), carried_target.densities(states)))
-    return ParticleSystem(states=states, weights=weights, t=t, **densities)
+    return carrying(target, states, weights, t)
 
 
 def oracle_log_ratio(system, target):
@@ -202,8 +210,8 @@ def test_next_temperature_and_cess_match_per_call_oracle():
     target = boxed_target_with_holes()
     rng = np.random.default_rng(2024)
     solved = 0
-    for i in range(60):
-        system = random_system(rng, target if i % 2 else None)
+    for _ in range(60):
+        system = random_system(rng, target)
         lr = oracle_log_ratio(system, target)
         assert np.any(np.isneginf(lr)) and np.any(system.weights == 0.0)
         rho = float(rng.choice([0.5, 0.9, 0.99]))
@@ -221,8 +229,7 @@ def test_next_temperature_degenerate_like_per_call_oracle():
     target = boxed_target_with_holes()
     # every weighted particle sits where the ratio is -inf
     states = np.array([[5.0, 0.0], [0.0, 2.5], [0.0, 0.0]])
-    system = ParticleSystem(states=states, weights=np.array([0.5, 0.5, 0.0]),
-                            t=0.2)
+    system = carrying(target, states, [0.5, 0.5, 0.0], t=0.2)
     lr = oracle_log_ratio(system, target)
     with pytest.raises(DegenerateWeightsError):
         next_temperature_oracle(system, lr, 0.9, 0.1)
@@ -250,7 +257,7 @@ def test_reweight_frozen_third_two_thirds():
     c = 2.0 * np.log(2.0)
     target = TemperedTarget(log_ref=lambda X: np.zeros(X.shape[0]),
                             log_target=lambda X: c * X[:, 0])
-    out = reweight(system_2(0.5, 0.5), target, 0.5)
+    out = reweight(system_2(0.5, 0.5, target=target), target, 0.5)
     assert out.t == 0.5
     assert out.weights == pytest.approx([1 / 3, 2 / 3], rel=1e-12)
     assert np.array_equal(out.states, np.array([[0.0], [1.0]]))
@@ -267,7 +274,7 @@ def test_reweight_support_mask():
     target = TemperedTarget(log_ref=lambda X: np.zeros(X.shape[0]),
                             log_target=lambda X: np.zeros(X.shape[0]),
                             support=(np.array([-0.5]), np.array([0.5])))
-    out = reweight(system_2(0.5, 0.5), target, 0.5)
+    out = reweight(system_2(0.5, 0.5, target=target), target, 0.5)
     assert out.weights == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
@@ -276,7 +283,7 @@ def test_reweight_degenerate_and_decreasing():
                             log_target=lambda X: np.zeros(X.shape[0]),
                             support=(np.array([5.0]), np.array([6.0])))
     with pytest.raises(DegenerateWeightsError):
-        reweight(system_2(0.5, 0.5), target, 0.5)
+        reweight(system_2(0.5, 0.5, target=target), target, 0.5)
     with pytest.raises(ValueError):
         reweight(system_2(0.5, 0.5, t=0.5), FLAT, 0.2)
 
@@ -300,7 +307,7 @@ def test_resample_frequencies_chi2():
     # 4 distinct state values with total masses (0.1, 0.2, 0.3, 0.4)
     values = np.repeat([0.0, 1.0, 2.0, 3.0], 1000)[:, None]
     weights = np.repeat([0.1, 0.2, 0.3, 0.4], 1000) / 1000.0
-    system = ParticleSystem(states=values, weights=weights, t=0.0)
+    system = carrying(FLAT, values, weights)
     out = resample_multinomial(system, np.random.default_rng(17))
     counts = np.array([(out.states[:, 0] == v).sum() for v in (0.0, 1.0, 2.0, 3.0)])
     expected = 4000 * np.array([0.1, 0.2, 0.3, 0.4])
@@ -314,7 +321,7 @@ def test_resample_frequencies_chi2():
 def test_markov_move_flat_target_accepts_all():
     rng = np.random.default_rng(5)
     states = np.arange(6, dtype=float).reshape(3, 2)
-    system = ParticleSystem(states=states, weights=np.full(3, 1 / 3), t=0.0)
+    system = carrying(FLAT, states, np.full(3, 1 / 3))
     policy = ProposalPolicy(kind=RANDOM_WALK, rw_scale=0.7)
     out = markov_move(system, FLAT, policy, rng)
 
@@ -329,8 +336,8 @@ def test_markov_move_flat_target_accepts_all():
 def test_markov_move_replay_accept_pattern():
     rng = np.random.default_rng(42)
     states = np.array([[0.0], [2.0], [-3.0], [0.5]])
-    system = ParticleSystem(states=states, weights=np.full(4, 0.25), t=1.0)
     target = std_normal_target()
+    system = carrying(target, states, np.full(4, 0.25), t=1.0)
     policy = ProposalPolicy(kind=RANDOM_WALK, rw_scale=1.5)
     out = markov_move(system, target, policy, rng)
 
@@ -347,8 +354,9 @@ def test_markov_move_replay_accept_pattern():
 def test_markov_move_preserves_standard_normal():
     rng = np.random.default_rng(7)
     states = rng.standard_normal((2000, 1))
-    system = ParticleSystem(states=states, weights=np.full(2000, 5e-4), t=1.0)
-    out = markov_move(system, std_normal_target(),
+    target = std_normal_target()
+    system = carrying(target, states, np.full(2000, 5e-4), t=1.0)
+    out = markov_move(system, target,
                       ProposalPolicy(kind=RANDOM_WALK, rw_scale=1.0),
                       rng, sweeps=5)
     assert not np.array_equal(out.states, states)
@@ -362,7 +370,7 @@ def test_markov_move_respects_support_box():
                             log_target=lambda X: np.zeros(X.shape[0]),
                             support=(np.array([-1.0]), np.array([1.0])))
     states = rng.uniform(-1.0, 1.0, size=(200, 1))
-    system = ParticleSystem(states=states, weights=np.full(200, 1 / 200), t=0.5)
+    system = carrying(target, states, np.full(200, 1 / 200), t=0.5)
     out = markov_move(system, target,
                       ProposalPolicy(kind=RANDOM_WALK, rw_scale=3.0), rng, sweeps=3)
     assert np.all((out.states >= -1.0) & (out.states <= 1.0))
@@ -370,8 +378,7 @@ def test_markov_move_respects_support_box():
 
 
 def test_markov_move_lognormal_requires_positive_states():
-    system = ParticleSystem(states=np.array([[1.0], [-1.0]]),
-                            weights=np.array([0.5, 0.5]), t=0.0)
+    system = carrying(FLAT, [[1.0], [-1.0]], [0.5, 0.5])
     with pytest.raises(ValueError):
         markov_move(system, FLAT, ProposalPolicy(kind=ADAPTIVE_LOGNORMAL),
                     np.random.default_rng(0))
@@ -388,7 +395,7 @@ def test_markov_move_sweeps_validation():
 
 def test_smc_step_skips_resample_when_ess_high():
     states = np.arange(8, dtype=float).reshape(4, 2)
-    system = ParticleSystem(states=states, weights=np.full(4, 0.25), t=0.0)
+    system = carrying(FLAT, states, np.full(4, 0.25))
     policy = ProposalPolicy(kind=RANDOM_WALK, rw_scale=0.5)
     out = smc_step(system, FLAT, 0.3, rho=0.95, policy=policy,
                    rng=np.random.default_rng(9))
@@ -429,11 +436,10 @@ def test_carried_densities_match_fresh_evaluation(kind):
     resampled = []
     policy = ProposalPolicy(kind=kind, rw_scale=1.0)
     for t_next in (0.02, 0.05, 0.5, 0.55, 1.0):
-        # the same step from a copy that carries nothing evaluates the
-        # densities afresh and must land on the same particles
-        bare = ParticleSystem(states=system.states, weights=system.weights,
-                              t=system.t)
-        replay = smc_step(bare, target, t_next, rho=0.8, policy=policy,
+        # the same step from a copy whose densities are evaluated afresh
+        # must land on the same particles
+        fresh = carrying(target, system.states, system.weights, system.t)
+        replay = smc_step(fresh, target, t_next, rho=0.8, policy=policy,
                           rng=copy.deepcopy(rng), sweeps=2)
         system = smc_step(system, target, t_next, rho=0.8, policy=policy,
                           rng=rng, sweeps=2)
@@ -451,13 +457,17 @@ def test_carried_densities_match_fresh_evaluation(kind):
 
 def test_init_particles_replay_and_validation():
     box = BoxUniform(lower=[-1.0, 0.0], upper=[1.0, 2.0])
-    out = init_particles(box, 5, np.random.default_rng(31))
+    target = std_normal_target()
+    out = init_particles(box, 5, np.random.default_rng(31), target)
     expected = np.random.default_rng(31).uniform(box.lower, box.upper, size=(5, 2))
     assert np.array_equal(out.states, expected)
     assert np.array_equal(out.weights, np.full(5, 0.2))
     assert out.t == 0.0
+    assert np.array_equal(out.log_ref, np.zeros(5))
+    assert np.array_equal(out.log_target,
+                          -0.5 * np.sum(expected * expected, axis=1))
     with pytest.raises(ValueError):
-        init_particles(box, 0, np.random.default_rng(0))
+        init_particles(box, 0, np.random.default_rng(0), target)
 
 
 def test_box_uniform_validation_and_density():
@@ -474,19 +484,28 @@ def test_box_uniform_validation_and_density():
 def test_particle_system_validation():
     ok_states = np.zeros((2, 1))
     with pytest.raises(ValueError):
-        ParticleSystem(states=ok_states, weights=np.array([0.4, 0.4]), t=0.0)
+        carrying(FLAT, ok_states, [0.4, 0.4])
     with pytest.raises(ValueError):
-        ParticleSystem(states=ok_states, weights=np.array([1.5, -0.5]), t=0.0)
+        carrying(FLAT, ok_states, [1.5, -0.5])
     with pytest.raises(ValueError):
-        ParticleSystem(states=ok_states, weights=np.array([0.5, 0.5]), t=1.5)
+        carrying(FLAT, ok_states, [0.5, 0.5], t=1.5)
     with pytest.raises(ValueError):
-        ParticleSystem(states=np.zeros(2), weights=np.array([0.5, 0.5]), t=0.0)
-    with pytest.raises(ValueError):  # carried densities come in pairs
-        ParticleSystem(states=ok_states, weights=np.array([0.5, 0.5]), t=0.0,
-                       log_ref=np.zeros(2))
+        carrying(FLAT, ok_states, [0.5, 0.5], t=-0.1)
+    with pytest.raises(ValueError):
+        ParticleSystem(states=np.zeros(2), weights=np.array([0.5, 0.5]), t=0.0,
+                       log_ref=np.zeros(2), log_target=np.zeros(2))
     with pytest.raises(ValueError):
         ParticleSystem(states=ok_states, weights=np.array([0.5, 0.5]), t=0.0,
                        log_ref=np.zeros(2), log_target=np.zeros(3))
+
+
+def test_particle_system_requires_its_densities():
+    with pytest.raises(TypeError):
+        ParticleSystem(states=np.zeros((2, 1)), weights=np.array([0.5, 0.5]),
+                       t=0.0)
+    with pytest.raises(TypeError):
+        ParticleSystem(states=np.zeros((2, 1)), weights=np.array([0.5, 0.5]),
+                       t=0.0, log_ref=np.zeros(2))
 
 
 def test_proposal_policy_validation():
@@ -497,14 +516,30 @@ def test_proposal_policy_validation():
 
 
 def test_tempered_target_endpoints_skip_vanishing_factor():
-    # reference vanishes at x = 2 but the t = 1 density must stay finite
+    # the reference vanishes at x = 2, but the t = 1 density there is
+    # finite (-2), so a move away from x = 2 is judged against it; at
+    # t = 0.5 the density at x = 2 is 0, so every move into the box wins
     box = BoxUniform(lower=[-1.0], upper=[1.0])
     target = TemperedTarget(log_ref=box.log_density,
                             log_target=lambda X: -0.5 * np.sum(X * X, axis=1))
-    X = np.array([[2.0]])
-    assert target.log_tempered(X, 1.0) == pytest.approx(-2.0)
-    assert np.isneginf(target.log_tempered(X, 0.5))
-    with pytest.raises(ValueError):
-        target.log_tempered(X, 1.2)
-    with pytest.raises(ValueError):
-        target.log_tempered(X, -0.1)
+    states = np.full((200, 1), 2.0)
+    weights = np.full(200, 1 / 200)
+    policy = ProposalPolicy(kind=RANDOM_WALK, rw_scale=1.0)
+
+    replay = np.random.default_rng(4)
+    proposals = states + replay.standard_normal((200, 1))
+    u = replay.uniform(size=200)
+
+    out = markov_move(carrying(target, states, weights, t=1.0), target,
+                      policy, np.random.default_rng(4))
+    accept = np.log(u) < -0.5 * proposals[:, 0] ** 2 + 2.0
+    assert accept.any() and not accept.all()
+    assert np.array_equal(out.states,
+                          np.where(accept[:, None], proposals, states))
+
+    half = markov_move(carrying(target, states, weights, t=0.5), target,
+                       policy, np.random.default_rng(4))
+    inside = np.abs(proposals[:, 0]) <= 1.0
+    assert inside.any() and not inside.all()
+    assert np.array_equal(half.states,
+                          np.where(inside[:, None], proposals, states))
