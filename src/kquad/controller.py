@@ -10,7 +10,8 @@ ever passed to the integrand.
 
 The kernel-learning variant additionally evaluates the integrand on a
 small random subset each temperature (all evaluations cached), refits
-kernel parameters by a marginal-likelihood criterion, monitors the
+kernel parameters by a marginal-likelihood criterion (warm-started from
+the previous temperature's fit), monitors the
 error-times-norm product instead, and builds the final rule on every
 cached evaluation point.
 """
@@ -259,11 +260,23 @@ class KernelFamily:
     build: Callable[[np.ndarray], KernelHandle]
     log_bounds: Sequence[tuple[float, float]]
 
+    def __post_init__(self):
+        for lo, hi in self.log_bounds:
+            if not -np.inf < lo <= hi < np.inf:
+                raise ValueError("log_bounds need finite (low, high) pairs "
+                                 f"with low <= high; got ({lo!r}, {hi!r})")
+
 
 def gaussian_lengthscale_family(d: int = 1, low: float = 0.05,
                                 high: float = 5.0,
                                 isotropic: bool = True) -> KernelFamily:
-    """Gaussian kernels parameterised by lengthscale(s) in [low, high]."""
+    """Gaussian kernels parameterised by lengthscale(s) in [low, high].
+
+    Raises ValueError unless 0 < low <= high, both finite.
+    """
+    if not 0.0 < low <= high < np.inf:
+        raise ValueError("lengthscale bounds need 0 < low <= high, both "
+                         f"finite; got low={low!r}, high={high!r}")
     if isotropic:
         return KernelFamily(
             build=lambda p: GaussianKernel(np.full(d, float(p[0]))),
@@ -322,31 +335,51 @@ def _golden_section(fun, lo, hi):
     return mid, _safe_eval(fun, mid)
 
 
-def _line_minimize(fun, lo, hi):
+def _line_minimize(fun, lo, hi, start=None):
     """Coarse scan for the dominant basin, then golden-section refinement.
 
     The marginal-likelihood objective is often multimodal across a wide
     parameter range, so a unimodal search over [lo, hi] can settle in the
-    wrong basin; the scan brackets the best coarse point first.
+    wrong basin; the scan brackets the best coarse point first.  Given a
+    start strictly inside the box, the bracket one scan spacing either
+    side of it (clipped to the box) is tried first, and the scan runs
+    only when the start is not strictly below both bracket ends.
     """
+    if start is not None and lo < start < hi:
+        h = (hi - lo) / (_SCAN_POINTS - 1)
+        a, b = max(start - h, lo), min(start + h, hi)
+        val = _safe_eval(fun, start)
+        if val < _safe_eval(fun, a) and val < _safe_eval(fun, b):
+            return _refine(fun, a, b, float(start), val)
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = [_safe_eval(fun, g) for g in grid]
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, _SCAN_POINTS - 1)]
-    best, val = _golden_section(fun, a, b)
-    if vals[i] < val:
-        return float(grid[i]), vals[i]
-    return best, val
+    return _refine(fun, a, b, float(grid[i]), vals[i])
 
 
-def kern_param_fit(f_values, points, family: KernelFamily) -> np.ndarray:
+def _refine(fun, a, b, x, val):
+    """Golden section on [a, b]; keeps (x, val) unless it finds lower."""
+    best, best_val = _golden_section(fun, a, b)
+    if val < best_val:
+        return x, val
+    return best, best_val
+
+
+def kern_param_fit(f_values, points, family: KernelFamily,
+                   start=None) -> np.ndarray:
     """Marginal-likelihood kernel parameters on the given evaluations.
 
     Minimises f'(K+nugget I)^-1 f + log det(K+nugget I) over the family's
     log-parameter box by cyclic coordinate descent with scanned line
     searches; one pass for a single parameter, whose line search does not
-    depend on a previous pass.  Returns natural-scale parameters.
+    depend on a previous pass.  start, natural-scale parameters such as
+    a previous fit's, warm-starts the descent: each line search first
+    brackets the current value one scan spacing either side and scans
+    the whole box only when that bracket holds no interior minimum.
+    Without start the descent starts at the box centre and every line
+    search scans.  Returns natural-scale parameters.
     """
     f = np.asarray(f_values, dtype=float)
     X = np.asarray(points, dtype=float)
@@ -366,7 +399,15 @@ def kern_param_fit(f_values, points, family: KernelFamily) -> np.ndarray:
         kernel = family.build(np.exp(log_p))
         return marginal_likelihood_objective(f, X, kernel)
 
-    log_p = np.asarray([0.5 * (lo + hi) for lo, hi in bounds])
+    if start is None:
+        log_p = np.asarray([0.5 * (lo + hi) for lo, hi in bounds])
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (len(bounds),) or not np.all(start > 0) \
+                or not np.all(np.isfinite(start)):
+            raise ValueError(f"start must hold {len(bounds)} finite positive "
+                             f"parameters, got {start.tolist()}")
+        log_p = np.log(start)
     current = np.inf
     for _ in range(_CYCLES if len(bounds) > 1 else 1):
         for j, (lo, hi) in enumerate(bounds):
@@ -374,7 +415,8 @@ def kern_param_fit(f_values, points, family: KernelFamily) -> np.ndarray:
                 trial = log_p.copy()
                 trial[j] = v
                 return objective(trial)
-            best, val = _line_minimize(line, lo, hi)
+            best, val = _line_minimize(
+                line, lo, hi, None if start is None else log_p[j])
             if np.isfinite(val):
                 log_p[j] = best
                 current = val
@@ -523,7 +565,9 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
     size-n subset of the unique particle states, evaluates the integrand
     there through a cache, refits kernel parameters on it by marginal
     likelihood, and monitors the bootstrap error statistic times the
-    interpolant norm.  The final rule is fitted on every cached
+    interpolant norm.  The first refit scans the family's whole box;
+    each later one is warm-started from the previous temperature's
+    parameters and scans only when their bracket holds no minimum.  The final rule is fitted on every cached
     evaluation point with the parameters from the selected temperature,
     so no integrand evaluation is wasted.
 
@@ -542,7 +586,9 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
         idx = rng.choice(unique.shape[0], size=n, replace=False)
         subset = unique[idx]
         f_sub = cache.evaluate(f, subset)
-        params = kern_param_fit(f_sub, subset, family)
+        params = kern_param_fit(f_sub, subset, family,
+                                start=entry_params[-1] if entry_params
+                                else None)
         entry_params.append(params)
         kernel = family.build(params)
         rest = unique[np.setdiff1d(np.arange(unique.shape[0]), idx,

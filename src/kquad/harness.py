@@ -186,6 +186,15 @@ _BENCHMARK_KEYS = {
 }
 
 
+# counts and lengthscales: every number a key holds must be positive
+_POSITIVE_KEYS = {
+    "method.n", "method.n_particles", "method.m_boot", "method.sweeps",
+    "problem.d", "kernel.lengthscale", "kernel.lengthscales", "sweep.n",
+    "bach.truncation", "grid.count", "sbq.lengthscales", "sbq.counts",
+    "ode.n_times", "benchmark.chain_length",
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated experiment configuration."""
@@ -218,6 +227,11 @@ def _check_type(key, value, default):
     elif isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"key {key!r} must be a non-empty list")
+        for element in value:
+            _check_type(key, element, default[0])
+        return
+    if key in _POSITIVE_KEYS and not 0 < value < math.inf:
+        raise ConfigError(f"key {key!r} must be finite and positive")
 
 
 def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
@@ -259,6 +273,17 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
     if "method.proposal" in params and params["method.proposal"] not in _PROPOSALS:
         raise ConfigError("key 'method.proposal' must be one of "
                           + ", ".join(_PROPOSALS))
+    if "method.n" in params \
+            and params["method.n_particles"] < 2 * params["method.n"]:
+        raise ConfigError("key 'method.n_particles' must be at least "
+                          "2 * 'method.n'")
+    if "family.low" in params:
+        try:
+            gaussian_lengthscale_family(low=params["family.low"],
+                                        high=params["family.high"])
+        except ValueError as err:
+            raise ConfigError(f"keys 'family.low' and 'family.high': {err}"
+                              ) from None
     if benchmark:
         try:
             check_burn_in(params["benchmark.chain_length"],

@@ -405,6 +405,76 @@ def test_kern_param_fit_names_the_cause():
         kern_param_fit([1.0, 2.0, 0.5], X, singular)
 
 
+def test_lengthscale_family_rejects_bad_bounds():
+    # inverted bounds used to make kern_param_fit return an unrefined grid
+    # point: golden section never iterates on a bracket with b < a
+    for low, high in [(5.0, 0.05), (0.0, 5.0), (-1.0, 5.0), (0.05, np.inf),
+                      (np.nan, 5.0)]:
+        with pytest.raises(ValueError, match="0 < low <= high"):
+            gaussian_lengthscale_family(1, low=low, high=high)
+    with pytest.raises(ValueError, match="low <= high"):
+        KernelFamily(build=GaussianKernel, log_bounds=[(1.0, -1.0)])
+    family = gaussian_lengthscale_family(1, low=0.5, high=0.5)
+    X = np.linspace(-1, 1, 4)[:, None]
+    assert kern_param_fit([1.0, 2.0, 0.5, 0.0], X, family)[0] \
+        == pytest.approx(0.5, rel=1e-12)
+
+
+def toy_fit_data():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 1))
+    return 1.0 + np.sin(2.0 * np.pi * X[:, 0]), X
+
+
+def counting_objective(monkeypatch):
+    """Counts marginal-likelihood evaluations made by kern_param_fit."""
+    calls = [0]
+    objective = kquad.controller.marginal_likelihood_objective
+
+    def counted(*args):
+        calls[0] += 1
+        return objective(*args)
+
+    monkeypatch.setattr(kquad.controller, "marginal_likelihood_objective",
+                        counted)
+    return calls
+
+
+@pytest.mark.parametrize("start", [0.05, 5.0, 0.06, 3.0])
+def test_kern_param_fit_warm_start_falls_back_to_the_scan(start, monkeypatch):
+    # a start on a box edge, or on a slope far from the optimum's basin,
+    # brackets no minimum, so the full scan runs as without a start
+    family = gaussian_lengthscale_family(1)
+    f, X = toy_fit_data()
+    calls = counting_objective(monkeypatch)
+    cold = kern_param_fit(f, X, family)
+    cold_calls = calls[0]
+    calls[0] = 0
+    assert np.array_equal(kern_param_fit(f, X, family, start=[start]), cold)
+    assert calls[0] >= cold_calls
+
+
+def test_kern_param_fit_warm_start_at_the_optimum(monkeypatch):
+    family = gaussian_lengthscale_family(1)
+    f, X = toy_fit_data()
+    calls = counting_objective(monkeypatch)
+    cold = kern_param_fit(f, X, family)
+    cold_calls = calls[0]
+    calls[0] = 0
+    warm = kern_param_fit(f, X, family, start=cold)
+    assert abs(np.log(warm[0]) - np.log(cold[0])) <= kquad.controller._LINE_TOL
+    assert calls[0] <= 20
+    assert cold_calls >= 45  # 33 grid points, then a golden section
+
+
+def test_kern_param_fit_rejects_a_bad_start():
+    family = gaussian_lengthscale_family(1)
+    f, X = toy_fit_data()
+    for start in ([1.0, 1.0], [0.0], [-1.0], [np.nan]):
+        with pytest.raises(ValueError, match="start must hold 1"):
+            kern_param_fit(f, X, family, start=start)
+
+
 def test_kern_param_fit_anisotropic_descent():
     family = gaussian_lengthscale_family(d=2, low=0.1, high=4.0,
                                          isotropic=False)
@@ -596,6 +666,32 @@ def test_smc_kq_kl_accounts_for_every_evaluation():
                      measure=measure, n=6, n_particles=24, seed=77)
     assert rep2.estimate == rep.estimate
     assert rep2.total_f_evals == rep.total_f_evals
+
+
+def test_smc_kq_kl_warm_starts_each_refit_after_the_first(monkeypatch):
+    f, measure, reference = toy_setup()
+    family = gaussian_lengthscale_family(d=1, low=0.1, high=4.0)
+    calls = counting_objective(monkeypatch)
+    fit = kquad.controller.kern_param_fit
+    fits = []  # (f_values, points, start, objective calls)
+
+    def recorded(f_values, points, family, start=None):
+        before = calls[0]
+        params = fit(f_values, points, family, start=start)
+        fits.append((f_values, points, start, calls[0] - before))
+        return params
+
+    monkeypatch.setattr(kquad.controller, "kern_param_fit", recorded)
+    smc_kq_kl(f, measure.log_density, family, reference, measure=measure,
+              n=12, n_particles=48, seed=77)
+    assert len(fits) >= 3
+    assert fits[0][2] is None
+    assert all(start is not None for _, _, start, _ in fits[1:])
+    warm = sum(count for *_, count in fits[1:])
+    calls[0] = 0
+    for f_values, points, _, _ in fits[1:]:
+        fit(f_values, points, family)
+    assert warm < calls[0]
 
 
 def test_smc_kq_kl_validation():

@@ -90,6 +90,26 @@ def test_keys_without_a_default_value_are_type_checked(experiment, key,
         validate_config({"experiment": experiment, key: value})
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("toy-sweep", "sweep.n", ["a"]),
+    ("toy-sweep", "sweep.n", [0]),
+    ("toy-sweep", "kernel.lengthscale", -1),
+    ("toy-smckq", "method.n_particles", 10),
+])
+def test_list_elements_ranges_and_particle_budget_are_checked(experiment, key,
+                                                             value):
+    # each used to pass validation and fail inside the run
+    with pytest.raises(ConfigError, match=key):
+        validate_config({"experiment": experiment, key: value})
+
+
+@pytest.mark.parametrize("low, high", [(5.0, 0.05), (0, 5.0)])
+def test_family_bounds_are_checked(low, high):
+    with pytest.raises(ConfigError, match="'family.low' and 'family.high'"):
+        validate_config({"experiment": "toy-smckq-kl", "family.low": low,
+                         "family.high": high})
+
+
 def test_null_keeps_a_key_without_a_default_value_unset():
     cfg = validate_config({"experiment": "toy-smckq",
                            "kernel.lengthscale": None})
@@ -458,20 +478,33 @@ def test_cli_bad_key_type_is_a_config_error(tmp_path):
     assert "kernel.lengthscale" in proc.stderr
 
 
-def test_cli_runtime_error_exit_3(tmp_path):
-    # valid config whose run violates the particle budget at runtime
+def test_cli_range_error_is_a_config_error(tmp_path):
+    # used to exit 0 with an unrefined lengthscale fit
     cfg = write_config(tmp_path, "cfg.json", {
-        "experiment": "toy-smckq", "replicates": 1,
-        "method.n": 50, "method.n_particles": 60,
+        "experiment": "toy-smckq-kl", "family.low": 5.0, "family.high": 0.05,
+    })
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "family.low" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_runtime_error_exit_3(tmp_path):
+    # valid config whose run fails: moves that are never accepted leave
+    # too few unique states for the rule
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "toy-smckq", "replicates": 1, "method.n": 150,
+        "method.proposal": "random-walk-gaussian", "method.rw_scale": 1e6,
     })
     proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")],
                    cwd=tmp_path)
     assert proc.returncode == 3
-    assert "n_particles" in proc.stderr
+    assert "unique states" in proc.stderr
     # one line, no traceback
     lines = [line for line in proc.stderr.splitlines() if line.strip()]
     assert lines == [proc.stderr.strip()]
-    assert lines[0].startswith("runtime error: ValueError: ")
+    assert lines[0].startswith("runtime error: InsufficientStatesError: ")
 
 
 def test_cli_seed_override_changes_results(tmp_path):
