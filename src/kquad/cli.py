@@ -9,7 +9,9 @@ kquad benchmark <config.json> [--seed S] [--out DIR]
     written to benchmark.json for later 'run' invocations.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (one
-line on stderr: "runtime error: <type>: <message>").  The
+line on stderr: "runtime error: <type>: <message>").  Warnings raised
+while a command runs are held back: printed when it succeeds, dropped
+when it fails, so a failure's stderr is its one line.  The
 default output directory comes from --out, then the config's
 output_path, then the KQUAD_OUT_DIR environment variable.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .harness import ConfigError, load_config, run, run_benchmark
@@ -80,16 +83,22 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "benchmark":
-            out = run_benchmark(cfg, _resolve_out(args.out, cfg))
-        else:
-            out = run(cfg, _resolve_out(args.out, cfg), threads=args.threads)
+        # the active filters still decide which warnings are kept
+        with warnings.catch_warnings(record=True) as held:
+            if args.command == "benchmark":
+                out = run_benchmark(cfg, _resolve_out(args.out, cfg))
+            else:
+                out = run(cfg, _resolve_out(args.out, cfg),
+                          threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                             w.file, w.line)
     print(f"wrote {out}")
     return EXIT_OK
 

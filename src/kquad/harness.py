@@ -18,6 +18,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -186,12 +188,16 @@ _BENCHMARK_KEYS = {
 }
 
 
-# counts and lengthscales: every number a key holds must be positive
+# counts, lengthscales, scales and step sizes: every number a key holds
+# must be finite and positive
 _POSITIVE_KEYS = {
     "method.n", "method.n_particles", "method.m_boot", "method.sweeps",
+    "method.delta", "method.rw_scale",
     "problem.d", "kernel.lengthscale", "kernel.lengthscales", "sweep.n",
+    "reference.std", "sweep.sigmas", "halton.sigma",
     "bach.truncation", "grid.count", "sbq.lengthscales", "sbq.counts",
-    "ode.n_times", "benchmark.chain_length",
+    "ode.theta_true", "ode.noise_std", "ode.prior_scale", "ode.n_times",
+    "benchmark.chain_length", "benchmark.step_scale",
 }
 
 
@@ -273,6 +279,8 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
     if "method.proposal" in params and params["method.proposal"] not in _PROPOSALS:
         raise ConfigError("key 'method.proposal' must be one of "
                           + ", ".join(_PROPOSALS))
+    if "method.rho" in params and not 0 < params["method.rho"] < 1:
+        raise ConfigError("key 'method.rho' must lie in (0, 1)")
     if "method.n" in params \
             and params["method.n_particles"] < 2 * params["method.n"]:
         raise ConfigError("key 'method.n_particles' must be at least "
@@ -285,6 +293,8 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
             raise ConfigError(f"keys 'family.low' and 'family.high': {err}"
                               ) from None
     if benchmark:
+        if len(params["ode.theta_true"]) != 4:
+            raise ConfigError("key 'ode.theta_true' must hold 4 numbers")
         try:
             check_burn_in(params["benchmark.chain_length"],
                           params["benchmark.burn_in"])
@@ -560,6 +570,19 @@ def _replicate_task(args):
     return EXPERIMENTS[cfg.experiment](cfg, r)
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+def _init_worker():
+    # a forked worker inherits the parent's warning handler, which may be a
+    # recorder whose list never reaches the parent (the CLI holds its own
+    # warnings that way), so each worker prints its warnings itself
+    warnings.showwarning = _print_warning
+
+
 # ---------------------------------------------------------------------------
 # output writers
 
@@ -607,7 +630,8 @@ def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, r) for r in range(cfg.replicates)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads,
+                                 initializer=_init_worker) as pool:
             outcomes = list(pool.map(_replicate_task, tasks))
     else:
         outcomes = [_replicate_task(t) for t in tasks]

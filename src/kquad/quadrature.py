@@ -10,13 +10,12 @@ escalating through a fixed ladder of jitters.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .kernels import KernelHandle, GaussianMeasure
 
@@ -154,6 +153,18 @@ def _check_distinct(X):
         )
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK module, imported on the first factorisation.
+
+    Importing scipy.linalg takes about 0.25 s, which every kquad process
+    would pay at start-up although many never factorise.  The cache binds
+    the module once, so the factor and solves pay no import per call.
+    """
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack
+
+
 def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET):
     """Lower Cholesky factor of K + jitter*I, escalating jitter on failure.
 
@@ -162,6 +173,7 @@ def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET
     copy of it, and a jittered attempt adds the jitter to the diagonal of
     that copy.
     """
+    dpotrf = _lapack().dpotrf
     n = K.shape[0]
     scale = float(K.trace()) / n
     for jitter in policy.ladder():
@@ -187,7 +199,7 @@ def chol_factor_with_nugget(K: np.ndarray, policy: NuggetPolicy = DEFAULT_NUGGET
 
 def cho_solve_lower(L, b) -> np.ndarray:
     """(L L')^-1 b for a lower Cholesky factor L, by LAPACK potrs."""
-    x, info = dpotrs(L, b, lower=1)
+    x, info = _lapack().dpotrs(L, b, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
@@ -195,7 +207,7 @@ def cho_solve_lower(L, b) -> np.ndarray:
 
 def solve_lower(L, b) -> np.ndarray:
     """L^-1 b for a lower Cholesky factor L, by LAPACK trtrs."""
-    x, info = dtrtrs(L, b, lower=1)
+    x, info = _lapack().dtrtrs(L, b, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     return x
@@ -351,10 +363,13 @@ def halton_points(n: int, d: int) -> np.ndarray:
 def gaussian_inverse_cdf(u):
     """Standard normal quantile function, elementwise.
 
-    Arguments must lie strictly inside (0, 1).
+    Arguments must lie strictly inside (0, 1).  scipy.special is
+    imported on the first call (this function is not on a hot path).
     """
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile arguments must lie strictly in (0, 1)")
-    out = scipy.special.ndtri(arr)
+    from scipy.special import ndtri
+
+    out = ndtri(arr)
     return float(out) if np.isscalar(u) or arr.ndim == 0 else out

@@ -23,12 +23,12 @@ and treat state arrays as immutable.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "BoxUniform",
@@ -376,20 +376,32 @@ def _weighted_mean_cov(states, weights):
     return mu, cov
 
 
+@functools.cache
+def _linalg():
+    """scipy.linalg, imported by the first adaptive proposal.
+
+    Its import takes about 0.25 s, which processes that never fit a
+    proposal need not pay at start-up; the cache binds it once.
+    """
+    import scipy.linalg
+    return scipy.linalg
+
+
 def _proposal_factor(cov):
     """Cholesky factor of the proposal covariance, ridged if not PD."""
+    cholesky = _linalg().cholesky
     try:
-        return scipy.linalg.cholesky(cov, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        return cholesky(cov, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:  # the class scipy.linalg raises
         warnings.warn("proposal covariance not positive definite; "
                       "falling back to ridged diagonal", RuntimeWarning)
         ridged = np.diag(np.maximum(np.diag(cov), 0.0) + 1e-8)
-        return scipy.linalg.cholesky(ridged, lower=True, check_finite=False)
+        return cholesky(ridged, lower=True, check_finite=False)
 
 
 def _mvn_logpdf(X, mu, L):
-    half = scipy.linalg.solve_triangular(L, (X - mu).T, lower=True,
-                                         check_finite=False)
+    half = _linalg().solve_triangular(L, (X - mu).T, lower=True,
+                                      check_finite=False)
     return -0.5 * np.sum(half * half, axis=0) \
         - np.sum(np.log(np.diag(L))) - 0.5 * mu.shape[0] * np.log(2.0 * np.pi)
 

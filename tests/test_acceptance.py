@@ -245,6 +245,15 @@ def ode_benchmark():
     return problem, result
 
 
+def test_criterion_09_reference_chain_bits(ode_benchmark):
+    # the 200k-step chain's bits, as the one-step-at-a-time chain gave them
+    _, bench = ode_benchmark
+    assert (bench.value.hex(), bench.std_error.hex(),
+            bench.acceptance_rate.hex()) == (
+        "-0x1.34b3bacfa4701p-4", "0x1.a60837a4673f5p-11",
+        "0x1.cdb8bac710cb3p-4")
+
+
 def test_criterion_09_adaptive_not_worse_on_inverse_problem(ode_benchmark):
     problem, bench = ode_benchmark
     kern = SteinKernel(GaussianKernel([8.0, 8.0, 8.0, 8.0]),

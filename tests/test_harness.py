@@ -103,6 +103,35 @@ def test_list_elements_ranges_and_particle_budget_are_checked(experiment, key,
         validate_config({"experiment": experiment, key: value})
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("toy-smckq", "method.rho", 2),
+    ("toy-smckq", "method.rho", 0),
+    ("toy-smckq", "method.rho", 1.0),
+    ("toy-smckq", "method.delta", -1),
+    ("toy-smckq", "method.rw_scale", 0),
+    ("toy-smckq", "reference.std", 0),
+    ("toy-smckq", "reference.std", float("inf")),
+    ("toy-sweep", "sweep.sigmas", [0.0]),
+    ("toy-sweep", "sweep.sigmas", [1.0, -2.0]),
+    ("halton-compare", "halton.sigma", 0),
+    (None, "ode.noise_std", 0),
+    (None, "ode.prior_scale", 0),
+    (None, "ode.theta_true", [1.0, -3.75, 2.5, 0.5]),
+    (None, "ode.theta_true", [1.0, 3.75, 2.5]),
+    (None, "benchmark.step_scale", -1),
+    (None, "benchmark.step_scale", float("nan")),
+])
+def test_scale_and_schedule_keys_are_checked(experiment, key, value):
+    # each used to pass validation and fail inside the run (exit 3), or,
+    # for a negative step_scale, to run a chain that barely moves; None is
+    # the benchmark subcommand's key set
+    raw = {key: value}
+    if experiment is not None:
+        raw["experiment"] = experiment
+    with pytest.raises(ConfigError, match=key):
+        validate_config(raw, benchmark=experiment is None)
+
+
 @pytest.mark.parametrize("low, high", [(5.0, 0.05), (0, 5.0)])
 def test_family_bounds_are_checked(low, high):
     with pytest.raises(ConfigError, match="'family.low' and 'family.high'"):
@@ -488,6 +517,58 @@ def test_cli_range_error_is_a_config_error(tmp_path):
     assert proc.returncode == 2
     assert "config error" in proc.stderr and "family.low" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_benchmark_negative_step_scale_is_a_config_error(tmp_path):
+    # used to exit 0 and write a reference from a chain accepting 2%
+    cfg = write_config(tmp_path, "bench.json", {
+        "benchmark.chain_length": 300, "benchmark.burn_in": 100,
+        "benchmark.step_scale": -1,
+    })
+    proc = run_cli(["benchmark", str(cfg), "--out", str(tmp_path / "bench")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "benchmark.step_scale" in proc.stderr
+    assert not (tmp_path / "bench").exists()
+
+
+def test_cli_runtime_failure_prints_only_its_line(tmp_path):
+    # the library's overflow warnings used to reach stderr before the line
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "toy-smckq", "replicates": 1, "reference.std": 1e200,
+    })
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")],
+                   cwd=tmp_path)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("runtime error: DegenerateWeightsError")
+
+
+def test_cli_success_still_prints_held_warnings(tmp_path):
+    cfg = write_config(tmp_path, "bench.json", {
+        "benchmark.chain_length": 300, "benchmark.burn_in": 100,
+        "benchmark.step_scale": 80.0,
+    })
+    proc = run_cli(["benchmark", str(cfg), "--out", str(tmp_path / "bench")],
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning: benchmark chain acceptance rate" in proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_run_prints_warnings_of_every_process(tmp_path, threads):
+    # points at width 1e160 overflow the squared distances of the Gram;
+    # forked workers must not inherit a recorder that drops their warnings
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "toy-sweep", "replicates": 2, "sweep.sigmas": [1e160],
+        "sweep.n": [5],
+    })
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"),
+                    "--threads", threads], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning: overflow encountered" in proc.stderr
 
 
 def test_cli_runtime_error_exit_3(tmp_path):

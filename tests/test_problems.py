@@ -22,8 +22,10 @@ from kquad.problems import (
     posterior_benchmark,
     toy_integrand,
     with_observations,
+    _log_post_psi,
     _trajectory,
 )
+from kquad.problems import _PREFETCH_DEPTH as PREFETCH_DEPTH
 
 THETA_UNDER = np.array([1.0, 3.75, 2.5, 0.5])
 THETA_OVER = np.array([1.0, 0.5, 0.25, 2.0])
@@ -533,30 +535,72 @@ def test_ode_predictive_is_horizon_position():
 # --- MCMC reference value ---
 
 
-def test_posterior_benchmark_replay_oracle():
-    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
-    got = posterior_benchmark(problem, 300, 100, np.random.default_rng(0))
-
-    rng = np.random.default_rng(0)
+def serial_chain(problem, chain_length, burn_in, rng, step_scale=0.25):
+    """The benchmark chain one step at a time: (value, std_error, rate)."""
     psi = np.zeros(4)
     lp = float(ode_log_posterior(problem, np.exp(psi))) + float(psi.sum())
-    draws = np.empty((300, 4))
+    draws = np.empty((chain_length, 4))
     accepted = 0
-    for i in range(300):
-        prop = psi + 0.25 * rng.standard_normal(4)
+    for i in range(chain_length):
+        prop = psi + step_scale * rng.standard_normal(4)
         lp_prop = float(ode_log_posterior(problem, np.exp(prop))) \
             + float(prop.sum())
         if np.log(rng.uniform()) < lp_prop - lp:
             psi, lp = prop, lp_prop
             accepted += 1
         draws[i] = psi
-    g = ode_predictive(problem, np.exp(draws[100:]))
-    assert got.value == float(g.mean())
-    assert got.acceptance_rate == accepted / 300
+    g = ode_predictive(problem, np.exp(draws[burn_in:]))
+    n_batches = 50 if g.shape[0] >= 100 else max(2, g.shape[0] // 2)
+    size = g.shape[0] // n_batches
+    means = g[:n_batches * size].reshape(n_batches, size).mean(axis=1)
+    se = float(np.std(means, ddof=1) / np.sqrt(n_batches))
+    return float(g.mean()), se, accepted / chain_length
+
+
+def test_posterior_benchmark_replay_oracle():
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    got = posterior_benchmark(problem, 300, 100, np.random.default_rng(0))
+
+    value, _, rate = serial_chain(problem, 300, 100, np.random.default_rng(0))
+    assert got.value == value
+    assert got.acceptance_rate == rate
     assert got.chain_length == 300 and got.burn_in == 100
 
     again = posterior_benchmark(problem, 300, 100, np.random.default_rng(0))
     assert again.value == got.value and again.std_error == got.std_error
+
+
+@pytest.mark.parametrize("chain_length, burn_in", [
+    (PREFETCH_DEPTH - 1, 1), (PREFETCH_DEPTH, 1), (PREFETCH_DEPTH + 1, 1),
+    (22, 20), (301, 100),
+])
+def test_posterior_benchmark_prefetch_matches_serial_oracle(chain_length,
+                                                            burn_in):
+    # lengths below, at and above one prefetched block, and ones that end
+    # in a partial block: the generator's stream must be used as serially
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    got = posterior_benchmark(problem, chain_length, burn_in,
+                              np.random.default_rng(0))
+    want = serial_chain(problem, chain_length, burn_in,
+                        np.random.default_rng(0))
+    assert (got.value, got.std_error, got.acceptance_rate) == want
+
+
+def test_log_post_psi_rows_match_the_serial_expression_bitwise():
+    # the batched score of prefetched proposals against the one-row
+    # expression of a serial chain, on rows a seed-1234 chain visits and
+    # rows far outside the support (exp under- or overflows: prior -inf)
+    problem = with_observations(ODEProblem(), np.random.default_rng(1234))
+    rng = np.random.default_rng(0)
+    P = np.cumsum(0.25 * rng.standard_normal((200, 4)), axis=0)
+    P = np.vstack([P, [[-800.0, 0.0, 0.0, 0.0], [0.0, 0.0, 800.0, 0.0],
+                       [-1e3, -1e3, -1e3, -1e3], [5.0, -6.0, 7.0, -8.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _log_post_psi(problem, P)
+        want = [float(ode_log_posterior(problem, np.exp(p))) + float(p.sum())
+                for p in P]
+    assert np.isneginf(got[200:203]).all()
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def test_posterior_benchmark_frozen_bits():
