@@ -18,9 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -566,21 +564,17 @@ EXPERIMENTS = {
 
 
 def _replicate_task(args):
+    """(rows, files, warnings) of one replicate.
+
+    The warnings the active filters let through are held, as (message,
+    category, filename, lineno), so that run can emit those of every
+    replicate in replicate order, whichever process ran it.
+    """
     cfg, r = args
-    return EXPERIMENTS[cfg.experiment](cfg, r)
-
-
-def _print_warning(message, category, filename, lineno, file=None,
-                   line=None):
-    sys.stderr.write(warnings.formatwarning(message, category, filename,
-                                            lineno, line))
-
-
-def _init_worker():
-    # a forked worker inherits the parent's warning handler, which may be a
-    # recorder whose list never reaches the parent (the CLI holds its own
-    # warnings that way), so each worker prints its warnings itself
-    warnings.showwarning = _print_warning
+    with warnings.catch_warnings(record=True) as held:
+        rows, files = EXPERIMENTS[cfg.experiment](cfg, r)
+    return rows, files, [(w.message, w.category, w.filename, w.lineno)
+                         for w in held]
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +624,26 @@ def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, r) for r in range(cfg.replicates)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads,
-                                 initializer=_init_worker) as pool:
+        # most runs use one process, so they do not import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_replicate_task, tasks))
     else:
         outcomes = [_replicate_task(t) for t in tasks]
 
     rows: list[ResultRow] = []
     files = {}
-    for per_rep_rows, per_rep_files in outcomes:
+    # one registry per file, as warn keeps one per module, so a warning
+    # repeated by later replicates is emitted once under the default action
+    registries = {}
+    for per_rep_rows, per_rep_files, held in outcomes:
         rows.extend(per_rep_rows)
         files.update(per_rep_files)
+        for message, category, filename, lineno in held:
+            registry = registries.setdefault(filename, {})
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registry)
     rows.sort(key=lambda r: (r.method, r.n, r.replicate))
     _write_csv(out / "results.csv", RESULT_COLUMNS, map(astuple, rows))
     _write_summary(out / "summary.json", cfg, rows)

@@ -23,12 +23,13 @@ and treat state arrays as immutable.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .quadrature import _lapack, solve_lower
 
 __all__ = [
     "BoxUniform",
@@ -376,32 +377,32 @@ def _weighted_mean_cov(states, weights):
     return mu, cov
 
 
-@functools.cache
-def _linalg():
-    """scipy.linalg, imported by the first adaptive proposal.
-
-    Its import takes about 0.25 s, which processes that never fit a
-    proposal need not pay at start-up; the cache binds it once.
-    """
-    import scipy.linalg
-    return scipy.linalg
-
-
 def _proposal_factor(cov):
-    """Cholesky factor of the proposal covariance, ridged if not PD."""
-    cholesky = _linalg().cholesky
-    try:
-        return cholesky(cov, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:  # the class scipy.linalg raises
+    """Cholesky factor of the proposal covariance, ridged if not PD.
+
+    LAPACK potrf is called as scipy.linalg.cholesky(lower=True) calls it,
+    so the factor has that function's bits.
+    """
+    dpotrf = _lapack().dpotrf
+    L, info = dpotrf(cov, lower=1, clean=1)
+    if info > 0:
         warnings.warn("proposal covariance not positive definite; "
                       "falling back to ridged diagonal", RuntimeWarning)
         ridged = np.diag(np.maximum(np.diag(cov), 0.0) + 1e-8)
-        return cholesky(ridged, lower=True, check_finite=False)
+        L, info = dpotrf(ridged, lower=1, clean=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the ridged proposal "
+                "covariance is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return L
 
 
 def _mvn_logpdf(X, mu, L):
-    half = _linalg().solve_triangular(L, (X - mu).T, lower=True,
-                                      check_finite=False)
+    # L comes Fortran-ordered out of potrf, so this trtrs call is the one
+    # scipy.linalg.solve_triangular(lower=True) makes
+    half = solve_lower(L, (X - mu).T)
     return -0.5 * np.sum(half * half, axis=0) \
         - np.sum(np.log(np.diag(L))) - 0.5 * mu.shape[0] * np.log(2.0 * np.pi)
 

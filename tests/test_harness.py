@@ -557,18 +557,58 @@ def test_cli_success_still_prints_held_warnings(tmp_path):
     assert "RuntimeWarning: benchmark chain acceptance rate" in proc.stderr
 
 
+OVERFLOWING_SWEEP = {"experiment": "toy-sweep", "replicates": 2,
+                     "sweep.sigmas": [1e160], "sweep.n": [5]}
+
+
+def test_cli_run_prints_each_warning_once(tmp_path):
+    # importing scipy.linalg on the first factorisation reset the warning
+    # registries, so the second replicate printed the first one's again
+    cfg = write_config(tmp_path, "cfg.json", OVERFLOWING_SWEEP)
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"),
+                    "--threads", "1"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and len(lines) == len(set(lines))
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_cli_run_prints_warnings_of_every_process(tmp_path, threads):
     # points at width 1e160 overflow the squared distances of the Gram;
-    # forked workers must not inherit a recorder that drops their warnings
-    cfg = write_config(tmp_path, "cfg.json", {
-        "experiment": "toy-sweep", "replicates": 2, "sweep.sigmas": [1e160],
-        "sweep.n": [5],
-    })
+    # forked workers must not drop their warnings in an inherited recorder
+    cfg = write_config(tmp_path, "cfg.json", OVERFLOWING_SWEEP)
     proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"),
                     "--threads", threads], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning: overflow encountered" in proc.stderr
+
+
+def test_cli_threaded_run_prints_the_warnings_of_one_process(tmp_path):
+    # forked workers must hand their warnings to the parent, not print them
+    # themselves, so a threaded run prints what a single-process one does
+    cfg = write_config(tmp_path, "cfg.json", OVERFLOWING_SWEEP)
+    stderr = {}
+    for threads in ("1", "2"):
+        proc = run_cli(["run", str(cfg), "--out",
+                        str(tmp_path / f"out{threads}"), "--threads",
+                        threads], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        stderr[threads] = proc.stderr
+    assert "RuntimeWarning: overflow encountered" in stderr["1"]
+    assert stderr["2"] == stderr["1"]
+
+
+def test_cli_threaded_runtime_failure_prints_only_its_line(tmp_path):
+    # workers used to print their overflow warnings before the line
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "toy-smckq", "reference.std": 1e200,
+    })
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out"),
+                    "--threads", "2", "--replicates", "2"], cwd=tmp_path)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("runtime error: DegenerateWeightsError")
 
 
 def test_cli_runtime_error_exit_3(tmp_path):

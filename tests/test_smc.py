@@ -1,10 +1,13 @@
 import copy
+import types
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
 
+import kquad.smc
 from kquad.smc import (
     ADAPTIVE_GAUSSIAN,
     ADAPTIVE_LOGNORMAL,
@@ -543,3 +546,22 @@ def test_tempered_target_endpoints_skip_vanishing_factor():
     assert inside.any() and not inside.all()
     assert np.array_equal(half.states,
                           np.where(inside[:, None], proposals, states))
+
+
+
+@pytest.mark.parametrize("infos, raised", [
+    ((2, 1), np.linalg.LinAlgError),  # the ridged factor fails too
+    ((-3,), ValueError),  # LAPACK rejects an argument
+])
+def test_proposal_factor_failures_raise(monkeypatch, infos, raised):
+    # OpenBLAS factors every ridged diagonal, so a stub LAPACK reports the
+    # failures; only a retry with the ridged factor warns
+    codes = iter(infos)
+    stub = types.SimpleNamespace(
+        dpotrf=lambda a, lower, clean: (np.asarray(a), next(codes)))
+    monkeypatch.setattr(kquad.smc, "_lapack", lambda: stub)
+    with warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")
+        with pytest.raises(raised):
+            kquad.smc._proposal_factor(np.eye(2))
+    assert len(held) == len(infos) - 1
