@@ -71,6 +71,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, benchmark=args.command == "benchmark")
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "replicates", None) is not None:
             if args.replicates < 1:

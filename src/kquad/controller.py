@@ -467,11 +467,10 @@ def _run_ladder(log_target, reference, support, rho: float, delta: float,
             if len(trace) > MAX_RUNGS:
                 raise RuntimeError(
                     f"temperature ladder exceeded {MAX_RUNGS} steps")
-            t_next = next_temperature(system, target, rho, delta)
+            t_next = next_temperature(system, rho, delta)
         else:
             t_next = float(ladder[len(trace)])
-        system = smc_step(system, target, t_next, rho, proposal, rng,
-                          sweeps=sweeps)
+        system = smc_step(system, t_next, rho, proposal, rng, sweeps=sweeps)
         snapshots.append(system)
         trace.append(record(system))
     return trace, snapshots
@@ -591,8 +590,7 @@ def smc_kq_kl(f: Callable[[np.ndarray], np.ndarray],
                                 else None)
         entry_params.append(params)
         kernel = family.build(params)
-        rest = unique[np.setdiff1d(np.arange(unique.shape[0]), idx,
-                                   assume_unique=False)]
+        rest = np.delete(unique, idx, axis=0)
         stat, max_nugget = _kl_error(kernel, measure,
                                      np.vstack([subset, rest]), f_sub, n,
                                      m_boot, rng)

@@ -189,10 +189,10 @@ _BENCHMARK_KEYS = {
 # counts, lengthscales, scales and step sizes: every number a key holds
 # must be finite and positive
 _POSITIVE_KEYS = {
-    "method.n", "method.n_particles", "method.m_boot", "method.sweeps",
-    "method.delta", "method.rw_scale",
-    "problem.d", "kernel.lengthscale", "kernel.lengthscales", "sweep.n",
-    "reference.std", "sweep.sigmas", "halton.sigma",
+    "replicates", "method.n", "method.n_particles", "method.m_boot",
+    "method.sweeps", "method.delta", "method.rw_scale", "problem.d",
+    "problem.frequency", "kernel.lengthscale", "kernel.lengthscales",
+    "sweep.n", "reference.std", "sweep.sigmas", "halton.sigma", "bach.lam",
     "bach.truncation", "grid.count", "sbq.lengthscales", "sbq.counts",
     "ode.theta_true", "ode.noise_std", "ode.prior_scale", "ode.n_times",
     "benchmark.chain_length", "benchmark.step_scale",
@@ -236,6 +236,8 @@ def _check_type(key, value, default):
         return
     if key in _POSITIVE_KEYS and not 0 < value < math.inf:
         raise ConfigError(f"key {key!r} must be finite and positive")
+    if key in ("seed", "ode.data_seed") and value < 0:
+        raise ConfigError(f"key {key!r} must be >= 0")
 
 
 def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
@@ -270,8 +272,6 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
         params.setdefault(key, None if isinstance(default, type) else default)
 
     replicates = int(params.pop("replicates"))
-    if replicates < 1:
-        raise ConfigError("key 'replicates' must be >= 1")
     seed = int(params.pop("seed"))
     output_path = str(params.pop("output_path"))
     if "method.proposal" in params and params["method.proposal"] not in _PROPOSALS:
@@ -290,6 +290,19 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"keys 'family.low' and 'family.high': {err}"
                               ) from None
+    if "bach.lam" in params:
+        try:
+            BachDiagnostic(lam=params["bach.lam"],
+                           truncation=params["bach.truncation"])
+        except ValueError as err:
+            raise ConfigError(f"keys 'bach.lam' and 'bach.truncation': {err}"
+                              ) from None
+    if "sbq.counts" in params:
+        if len(params["sbq.lengthscales"]) != len(params["sbq.counts"]):
+            raise ConfigError("keys 'sbq.lengthscales' and 'sbq.counts' must "
+                              "have equal length")
+        if max(params["sbq.counts"]) > params["grid.count"]:
+            raise ConfigError("key 'sbq.counts' may not exceed 'grid.count'")
     if benchmark:
         if len(params["ode.theta_true"]) != 4:
             raise ConfigError("key 'ode.theta_true' must hold 4 numbers")
@@ -523,9 +536,6 @@ def _run_sbq_demo(cfg: RunConfig, r: int):
     points = []
     lens = [float(v) for v in p["sbq.lengthscales"]]
     counts = [int(v) for v in p["sbq.counts"]]
-    if len(lens) != len(counts):
-        raise ConfigError("sbq.lengthscales and sbq.counts must have equal "
-                          "length")
     for ell, count in zip(lens, counts):
         kernel = GaussianKernel(np.asarray([ell]))
         idx = sbq_greedy_select(kernel, measure, grid, count, seed_index)
@@ -564,17 +574,22 @@ EXPERIMENTS = {
 
 
 def _replicate_task(args):
-    """(rows, files, warnings) of one replicate.
+    """(rows, files, warnings, error) of one replicate.
 
     The warnings the active filters let through are held, as (message,
     category, filename, lineno), so that run can emit those of every
-    replicate in replicate order, whichever process ran it.
+    replicate in replicate order, whichever process ran it; error is the
+    exception the replicate raised, or None.
     """
     cfg, r = args
+    rows, files, error = [], {}, None
     with warnings.catch_warnings(record=True) as held:
-        rows, files = EXPERIMENTS[cfg.experiment](cfg, r)
+        try:
+            rows, files = EXPERIMENTS[cfg.experiment](cfg, r)
+        except Exception as exc:
+            error = exc
     return rows, files, [(w.message, w.category, w.filename, w.lineno)
-                         for w in held]
+                         for w in held], error
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +633,8 @@ def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
 
     Returns the output directory.  Replicates can be distributed over
     processes; results are merged in replicate order so the output is
-    independent of scheduling.
+    independent of scheduling.  A replicate's exception is raised again
+    after the warnings of the replicates up to and including it.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -630,20 +646,26 @@ def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_replicate_task, tasks))
     else:
-        outcomes = [_replicate_task(t) for t in tasks]
+        outcomes = []
+        for task in tasks:
+            outcomes.append(_replicate_task(task))
+            if outcomes[-1][3] is not None:
+                break
 
     rows: list[ResultRow] = []
     files = {}
     # one registry per file, as warn keeps one per module, so a warning
     # repeated by later replicates is emitted once under the default action
     registries = {}
-    for per_rep_rows, per_rep_files, held in outcomes:
+    for per_rep_rows, per_rep_files, held, error in outcomes:
         rows.extend(per_rep_rows)
         files.update(per_rep_files)
         for message, category, filename, lineno in held:
             registry = registries.setdefault(filename, {})
             warnings.warn_explicit(message, category, filename, lineno,
                                    registry=registry)
+        if error is not None:
+            raise error
     rows.sort(key=lambda r: (r.method, r.n, r.replicate))
     _write_csv(out / "results.csv", RESULT_COLUMNS, map(astuple, rows))
     _write_summary(out / "summary.json", cfg, rows)

@@ -501,31 +501,25 @@ def bach_density_truncated(diag: BachDiagnostic, x) -> np.ndarray:
     log_lam = np.log(diag.lam)
     log2 = np.log(2.0)
 
-    g_prev = np.ones_like(y)          # degree 0, orthonormal scaling
-    g = np.sqrt(2.0) * y              # degree 1
+    # orthonormal scaling: g_prev and g hold degrees k - 2 and k - 1, from
+    # (g_-1, g_0) = (0, 1); log|0| = -inf makes a zero term exactly 0
+    g_prev = np.zeros_like(y)
+    g = np.ones_like(y)
     logscale = np.zeros_like(y)
     total = np.zeros_like(y)
-    for j in range(diag.truncation):
-        if j == 0:
-            gj = g_prev
-        elif j == 1:
-            gj = g
-        else:
-            g_next = y * g * np.sqrt(2.0 / j) - g_prev * np.sqrt((j - 1.0) / j)
-            g_prev, g = g, g_next
-            big = np.abs(g) > 1e100
-            if np.any(big):
-                shrink = np.where(big, np.abs(g), 1.0)
-                g = g / shrink
-                g_prev = g_prev / shrink
-                logscale = logscale + np.log(shrink)
-            gj = g
-        log_weight = -np.logaddexp(0.0, log_lam + (j + 1) * log2)
+    for k in range(1, diag.truncation + 1):
+        log_weight = -np.logaddexp(0.0, log_lam + k * log2)
         with np.errstate(divide="ignore"):
-            log_mag = np.where(gj != 0.0, np.log(np.abs(gj)), -np.inf)
-        term = np.where(gj != 0.0,
-                        np.exp(log_weight + 2.0 * (log_mag + logscale)), 0.0)
-        total = total + term
+            log_mag = np.log(np.abs(g))
+        total = total + np.exp(log_weight + 2.0 * (log_mag + logscale))
+        g_next = y * g * np.sqrt(2.0 / k) - g_prev * np.sqrt((k - 1.0) / k)
+        g_prev, g = g, g_next
+        big = np.abs(g) > 1e100
+        if np.any(big):
+            shrink = np.where(big, np.abs(g), 1.0)
+            g = g / shrink
+            g_prev = g_prev / shrink
+            logscale = logscale + np.log(shrink)
     out = np.exp(-np.atleast_1d(arr) ** 2) * total
     return float(out[0]) if scalar else out
 

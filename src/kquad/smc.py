@@ -9,8 +9,9 @@ multinomially resampled when the effective sample size degrades, then
 rejuvenated with a Metropolis-Hastings sweep whose proposal can adapt to
 the current particle population.
 
-A ParticleSystem carries, next to its states, the reference and target
-log-densities of those states (-inf outside the support box).  The initial
+A ParticleSystem carries its TemperedTarget and, next to its states, the
+reference and target log-densities of those states (-inf outside the
+support box, which only TemperedTarget.densities checks).  The initial
 system evaluates them once, reweighting and the temperature solve read
 them, and a Metropolis-Hastings sweep evaluates the target only on its
 proposals; accepted proposals and resampled copies take their values with
@@ -24,7 +25,7 @@ and treat state arrays as immutable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -139,26 +140,22 @@ class TemperedTarget:
         return log_ref, log_target
 
 
-def _log_ratio(system: ParticleSystem, target: TemperedTarget) -> np.ndarray:
-    """log pi - log pi_0 at the system's states, -inf outside the box."""
-    inside = target.in_support(system.states)
-    out = np.full(inside.shape[0], -np.inf)
-    out[inside] = system.log_target[inside] - system.log_ref[inside]
-    return out
+def _log_ratio(system: ParticleSystem) -> np.ndarray:
+    """log pi - log pi_0 at the states; nan outside the box (-inf - -inf)."""
+    with np.errstate(invalid="ignore"):
+        return system.log_target - system.log_ref
 
 
-def _log_tempered(inside, log_ref, log_target, t: float) -> np.ndarray:
+def _log_tempered(log_ref, log_target, t: float) -> np.ndarray:
     """log pi_t up to a constant; -inf outside the support box."""
-    out = np.full(inside.shape[0], -np.inf)
     # endpoint temperatures skip a factor entirely so that a
     # vanishing density on the other side cannot produce 0 * inf
     vals = 0.0
     if t < 1.0:
-        vals = vals + (1.0 - t) * log_ref[inside]
+        vals = vals + (1.0 - t) * log_ref
     if t > 0.0:
-        vals = vals + t * log_target[inside]
-    out[inside] = vals
-    return out
+        vals = vals + t * log_target
+    return vals
 
 
 @dataclass(frozen=True)
@@ -166,9 +163,9 @@ class ParticleSystem:
     """Weighted particles at a temperature: states (N, d), weights (N,).
 
     log_ref and log_target are the reference and target log-densities of
-    the states (N,), -inf outside the support box, as
-    TemperedTarget.densities returns them.  They belong to the target the
-    system is reweighted and moved with.
+    the states (N,), -inf outside the support box, as target.densities
+    returns them; target is the TemperedTarget the system is reweighted
+    and moved with.
     """
 
     states: np.ndarray
@@ -176,6 +173,7 @@ class ParticleSystem:
     t: float
     log_ref: np.ndarray = field(compare=False, repr=False)
     log_target: np.ndarray = field(compare=False, repr=False)
+    target: TemperedTarget = field(compare=False, repr=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -221,7 +219,7 @@ def init_particles(reference, n_particles: int, rng: np.random.Generator,
                    target: TemperedTarget) -> ParticleSystem:
     """Equal-weight draw of n_particles from the reference, at t = 0.
 
-    The system carries the target's densities at the drawn states.
+    The system carries the target and its densities at the drawn states.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
@@ -229,7 +227,8 @@ def init_particles(reference, n_particles: int, rng: np.random.Generator,
     weights = np.full(n_particles, 1.0 / n_particles)
     log_ref, log_target = target.densities(states)
     return ParticleSystem(states=states, weights=weights, t=0.0,
-                          log_ref=log_ref, log_target=log_target)
+                          log_ref=log_ref, log_target=log_target,
+                          target=target)
 
 
 def ess(weights) -> float:
@@ -280,8 +279,7 @@ def _cess_curve(weights, log_ratio):
     return cess_at
 
 
-def cess(system: ParticleSystem, target: TemperedTarget,
-         t_candidate: float) -> float:
+def cess(system: ParticleSystem, t_candidate: float) -> float:
     """Conditional effective sample size of moving the system to t_candidate.
 
     With incremental weights u_j = (pi/pi_0)^(t_candidate - t) this is
@@ -290,12 +288,12 @@ def cess(system: ParticleSystem, target: TemperedTarget,
     """
     if not system.t <= t_candidate <= 1.0:
         raise ValueError("t_candidate must lie between the temperature and 1")
-    lr = _log_ratio(system, target)
+    lr = _log_ratio(system)
     return _cess_curve(system.weights, lr)(t_candidate - system.t)
 
 
-def next_temperature(system: ParticleSystem, target: TemperedTarget,
-                     rho: float, delta: float) -> float:
+def next_temperature(system: ParticleSystem, rho: float,
+                     delta: float) -> float:
     """Adaptive temperature: bisection solve of CESS(t) = rho*N, capped.
 
     Solves on [t, 1] to interval width 1e-8; if even t = 1 keeps the CESS
@@ -310,7 +308,7 @@ def next_temperature(system: ParticleSystem, target: TemperedTarget,
         raise ValueError("rho must lie in (0, 1)")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    curve = _cess_curve(system.weights, _log_ratio(system, target))
+    curve = _cess_curve(system.weights, _log_ratio(system))
     level = rho * system.n_particles
 
     def g(t):
@@ -330,8 +328,7 @@ def next_temperature(system: ParticleSystem, target: TemperedTarget,
     return min(system.t + delta, solved)
 
 
-def reweight(system: ParticleSystem, target: TemperedTarget,
-             t_next: float) -> ParticleSystem:
+def reweight(system: ParticleSystem, t_next: float) -> ParticleSystem:
     """Multiply weights by (pi/pi_0)^(t_next - t) and renormalise.
 
     Performed in log space with max-subtraction.  Raises
@@ -339,21 +336,18 @@ def reweight(system: ParticleSystem, target: TemperedTarget,
     """
     if t_next < system.t:
         raise ValueError("t_next must not decrease the temperature")
-    lr = _log_ratio(system, target)
     with np.errstate(divide="ignore"):
-        logw = np.where(system.weights > 0, np.log(system.weights), -np.inf)
+        logw = np.log(system.weights)
     dt = t_next - system.t
-    a = logw + (dt * lr if dt > 0.0 else 0.0)
-    if not np.any(np.isfinite(a)):
+    a = logw + (dt * _log_ratio(system) if dt > 0.0 else 0.0)
+    finite = np.isfinite(a)
+    if not finite.any():
         raise DegenerateWeightsError("all reweighted particles have zero mass")
-    m = np.max(a[np.isfinite(a)])
-    u = np.where(np.isfinite(a), np.exp(a - m), 0.0)
+    u = np.where(finite, np.exp(a - np.max(a[finite])), 0.0)
     total = float(u.sum())
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateWeightsError("reweighting produced a zero total mass")
-    return ParticleSystem(states=system.states, weights=u / total, t=t_next,
-                          log_ref=system.log_ref,
-                          log_target=system.log_target)
+    return replace(system, weights=u / total, t=t_next)
 
 
 def resample_multinomial(system: ParticleSystem,
@@ -364,10 +358,9 @@ def resample_multinomial(system: ParticleSystem,
     """
     n = system.n_particles
     idx = rng.choice(n, size=n, p=system.weights)
-    return ParticleSystem(states=system.states[idx],
-                          weights=np.full(n, 1.0 / n), t=system.t,
-                          log_ref=system.log_ref[idx],
-                          log_target=system.log_target[idx])
+    return replace(system, states=system.states[idx],
+                   weights=np.full(n, 1.0 / n), log_ref=system.log_ref[idx],
+                   log_target=system.log_target[idx])
 
 
 def _weighted_mean_cov(states, weights):
@@ -407,56 +400,46 @@ def _mvn_logpdf(X, mu, L):
         - np.sum(np.log(np.diag(L))) - 0.5 * mu.shape[0] * np.log(2.0 * np.pi)
 
 
-def markov_move(system: ParticleSystem, target: TemperedTarget,
-                policy: ProposalPolicy, rng: np.random.Generator,
-                sweeps: int = 1) -> ParticleSystem:
+def markov_move(system: ParticleSystem, policy: ProposalPolicy,
+                rng: np.random.Generator, sweeps: int = 1) -> ParticleSystem:
     """Metropolis-Hastings sweeps leaving the current tempered density invariant.
 
     Adaptive policies fit their proposal moments to the current weighted
     particle set at the start of each sweep and hold them fixed across the
     sweep.  Draw order per sweep is fixed (one (N, d) block of standard
     normals, then one (N,) block of uniforms) so accept decisions can be
-    replayed exactly.  Weights and temperature are unchanged.  The target
-    is evaluated only on the proposals; accepted proposals carry their
-    log-densities into the returned system.
+    replayed exactly.  Weights and temperature are unchanged.  The
+    system's target is evaluated only on the proposals; accepted proposals
+    carry their log-densities into the returned system.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     states = system.states
     n, d = states.shape
-    t = system.t
     log_ref, log_target = system.log_ref, system.log_target
-    log_pi_cur = _log_tempered(target.in_support(states), log_ref,
-                               log_target, t)
+    log_pi_cur = _log_tempered(log_ref, log_target, system.t)
+    lognormal = policy.kind == ADAPTIVE_LOGNORMAL
     for _ in range(sweeps):
         if policy.kind == RANDOM_WALK:
-            noise = rng.standard_normal((n, d))
-            proposals = states + policy.rw_scale * noise
+            proposals = states + policy.rw_scale * rng.standard_normal((n, d))
             log_q_diff = np.zeros(n)
-        elif policy.kind == ADAPTIVE_GAUSSIAN:
-            mu, cov = _weighted_mean_cov(states, system.weights)
-            L = _proposal_factor(cov)
-            noise = rng.standard_normal((n, d))
-            proposals = mu + noise @ L.T
-            # independence sampler: q(current) - q(proposal)
-            log_q_diff = _mvn_logpdf(states, mu, L) - _mvn_logpdf(proposals, mu, L)
-        elif policy.kind == ADAPTIVE_LOGNORMAL:
-            if np.any(states <= 0):
+        else:
+            # independence sampler, Gaussian in the states or in their logs;
+            # a lognormal q takes the log-Jacobian sum(log x) off each side
+            if lognormal and np.any(states <= 0):
                 raise ValueError("lognormal proposal requires positive states")
-            logs = np.log(states)
-            mu, cov = _weighted_mean_cov(logs, system.weights)
+            cur = np.log(states) if lognormal else states
+            mu, cov = _weighted_mean_cov(cur, system.weights)
             L = _proposal_factor(cov)
-            noise = rng.standard_normal((n, d))
-            log_props = mu + noise @ L.T
-            proposals = np.exp(log_props)
-            log_q_diff = (_mvn_logpdf(logs, mu, L) - logs.sum(axis=1)) \
-                - (_mvn_logpdf(log_props, mu, L) - log_props.sum(axis=1))
-        else:  # pragma: no cover - guarded by ProposalPolicy
-            raise ValueError(policy.kind)
+            drawn = mu + rng.standard_normal((n, d)) @ L.T
+            proposals = np.exp(drawn) if lognormal else drawn
+            jac_cur = cur.sum(axis=1) if lognormal else 0.0
+            jac_prop = drawn.sum(axis=1) if lognormal else 0.0
+            log_q_diff = (_mvn_logpdf(cur, mu, L) - jac_cur) \
+                - (_mvn_logpdf(drawn, mu, L) - jac_prop)
 
-        prop_ref, prop_target = target.densities(proposals)
-        log_pi_prop = _log_tempered(target.in_support(proposals), prop_ref,
-                                    prop_target, t)
+        prop_ref, prop_target = system.target.densities(proposals)
+        log_pi_prop = _log_tempered(prop_ref, prop_target, system.t)
         with np.errstate(invalid="ignore"):
             log_r = log_pi_prop - log_pi_cur + log_q_diff
         log_r = np.where(np.isneginf(log_pi_prop), -np.inf, log_r)
@@ -466,15 +449,15 @@ def markov_move(system: ParticleSystem, target: TemperedTarget,
         log_ref = np.where(accept, prop_ref, log_ref)
         log_target = np.where(accept, prop_target, log_target)
         log_pi_cur = np.where(accept, log_pi_prop, log_pi_cur)
-    return ParticleSystem(states=states, weights=system.weights, t=t,
-                          log_ref=log_ref, log_target=log_target)
+    return replace(system, states=states, log_ref=log_ref,
+                   log_target=log_target)
 
 
-def smc_step(system: ParticleSystem, target: TemperedTarget, t_next: float,
-             rho: float, policy: ProposalPolicy, rng: np.random.Generator,
+def smc_step(system: ParticleSystem, t_next: float, rho: float,
+             policy: ProposalPolicy, rng: np.random.Generator,
              sweeps: int = 1) -> ParticleSystem:
     """One tempering step: reweight, resample if ESS < rho*N, then move."""
-    moved = reweight(system, target, t_next)
+    moved = reweight(system, t_next)
     if ess(moved.weights) < rho * moved.n_particles:
         moved = resample_multinomial(moved, rng)
-    return markov_move(moved, target, policy, rng, sweeps=sweeps)
+    return markov_move(moved, policy, rng, sweeps=sweeps)

@@ -3,7 +3,10 @@ scripts and the README import from ``kquad``."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,9 +14,11 @@ import pytest
 import kquad
 import kquad.controller
 import kquad.quadrature
+import kquad.smc
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+DEMOS = sorted(ROOT.glob("demos/*.py"))
+SOURCES = DEMOS + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def readme_blocks():
@@ -67,3 +72,25 @@ def test_no_nugget_knob_above_the_factor():
             if name != "chol_factor_with_nugget":
                 assert not {"nugget", "policy"} & params, \
                     f"{module.__name__}.{name} takes a nugget knob"
+
+
+def test_particle_systems_carry_their_target():
+    # a system is reweighted and moved with the target it was drawn for,
+    # so only the function that draws it is handed one
+    for name in kquad.smc.__all__:
+        obj = getattr(kquad.smc, name)
+        if inspect.isfunction(obj) and name != "init_particles":
+            assert "target" not in inspect.signature(obj).parameters, \
+                f"kquad.smc.{name} takes a target"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # an API change that breaks a demo fails here, not only on import
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

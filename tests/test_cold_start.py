@@ -34,9 +34,9 @@ target = TemperedTarget(box.log_density,
                         lambda X: -0.5 * np.sum((X - 2.0) ** 2, axis=1),
                         support=(box.lower, box.upper))
 system = init_particles(box, 64, rng, target)
-moved = smc_step(system, target, 0.3, 0.5,
+moved = smc_step(system, 0.3, 0.5,
                  ProposalPolicy(kind=ADAPTIVE_LOGNORMAL), rng)
-moved = smc_step(moved, target, 0.5, 0.7,
+moved = smc_step(moved, 0.5, 0.7,
                  ProposalPolicy(kind=ADAPTIVE_GAUSSIAN), rng)
 """
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from kquad.harness import (
     run_benchmark,
     validate_config,
 )
+from kquad.smc import DegenerateWeightsError
 
 # The checkout's source tree, for `python -m kquad` subprocesses.
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -120,6 +122,15 @@ def test_list_elements_ranges_and_particle_budget_are_checked(experiment, key,
     (None, "ode.theta_true", [1.0, 3.75, 2.5]),
     (None, "benchmark.step_scale", -1),
     (None, "benchmark.step_scale", float("nan")),
+    ("bach-diagnostic", "bach.lam", 0),
+    ("bach-diagnostic", "bach.truncation", 500),
+    ("toy-sweep", "problem.frequency", 0),
+    ("toy-sweep", "problem.frequency", -1),
+    ("toy-sweep", "seed", -1),
+    (None, "seed", -3),
+    (None, "ode.data_seed", -1),
+    ("sbq-demo", "sbq.counts", [500, 5]),
+    ("sbq-demo", "sbq.counts", [30]),
 ])
 def test_scale_and_schedule_keys_are_checked(experiment, key, value):
     # each used to pass validation and fail inside the run (exit 3), or,
@@ -288,6 +299,23 @@ def test_threads_do_not_change_output(tmp_path):
         == (out2 / "results.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() \
         == (out2 / "summary.json").read_bytes()
+
+
+def test_failed_run_keeps_the_warnings_before_its_error(tmp_path):
+    # a library caller used to lose every held warning when a replicate
+    # raised; the first replicate overflows and then fails, so each run
+    # emits what that replicate warned and raises its error
+    cfg = validate_config({"experiment": "toy-smckq", "replicates": 2,
+                           "reference.std": 1e200})
+    seen = {}
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as held:
+            with pytest.raises(DegenerateWeightsError):
+                run(cfg, tmp_path / f"out{threads}", threads=threads)
+        seen[threads] = [(str(w.message), w.category, w.filename, w.lineno)
+                         for w in held]
+    assert seen[1]
+    assert seen[2] == seen[1]
 
 
 def smckq_config(out, experiment="toy-smckq", **extra):
@@ -531,6 +559,27 @@ def test_cli_benchmark_negative_step_scale_is_a_config_error(tmp_path):
     assert "config error" in proc.stderr
     assert "benchmark.step_scale" in proc.stderr
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("command, blob, extra, key", [
+    ("benchmark", {"benchmark.chain_length": 300, "benchmark.burn_in": 100},
+     ["--seed", "-3"], "--seed"),
+    ("run", {"experiment": "toy-sweep", "sweep.n": [5]}, ["--seed", "-1"],
+     "--seed"),
+    ("run", {"experiment": "sbq-demo", "sbq.counts": [500, 5]}, [],
+     "sbq.counts"),
+    ("run", {"experiment": "bach-diagnostic", "bach.truncation": 500}, [],
+     "bach.truncation"),
+])
+def test_cli_values_the_run_rejects_are_config_errors(tmp_path, command,
+                                                      blob, extra, key):
+    # each used to fail inside the run with exit 3 and a ValueError
+    cfg = write_config(tmp_path, "cfg.json", blob)
+    proc = run_cli([command, str(cfg), "--out", str(tmp_path / "out"),
+                    *extra], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and key in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runtime_failure_prints_only_its_line(tmp_path):

@@ -686,6 +686,54 @@ def test_bach_density_matches_hermite_oracle():
                 < 1e-9
 
 
+def special_cased_bach_density(diag, x):
+    # the recurrence with degrees 0 and 1 as special cases, started from
+    # (g_0, g_1) = (1, sqrt(2) y); a bit-for-bit oracle
+    arr = np.asarray(x, dtype=float)
+    y = np.atleast_1d(arr) * np.sqrt(1.5)
+    log_lam = np.log(diag.lam)
+    log2 = np.log(2.0)
+    g_prev = np.ones_like(y)
+    g = np.sqrt(2.0) * y
+    logscale = np.zeros_like(y)
+    total = np.zeros_like(y)
+    for j in range(diag.truncation):
+        if j == 0:
+            gj = g_prev
+        elif j == 1:
+            gj = g
+        else:
+            g_next = y * g * np.sqrt(2.0 / j) - g_prev * np.sqrt((j - 1.0) / j)
+            g_prev, g = g, g_next
+            big = np.abs(g) > 1e100
+            if np.any(big):
+                shrink = np.where(big, np.abs(g), 1.0)
+                g = g / shrink
+                g_prev = g_prev / shrink
+                logscale = logscale + np.log(shrink)
+            gj = g
+        log_weight = -np.logaddexp(0.0, log_lam + (j + 1) * log2)
+        with np.errstate(divide="ignore"):
+            log_mag = np.where(gj != 0.0, np.log(np.abs(gj)), -np.inf)
+        term = np.where(gj != 0.0,
+                        np.exp(log_weight + 2.0 * (log_mag + logscale)), 0.0)
+        total = total + term
+    return np.exp(-np.atleast_1d(arr) ** 2) * total
+
+
+def test_bach_density_matches_special_cased_recurrence_bitwise():
+    grids = (np.linspace(-4.0, 4.0, 401),
+             np.concatenate([np.linspace(-40.0, 40.0, 2001),
+                             [0.0, -0.0, 1e-300, 5e5, -5e5]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in (1e-15, 1e-8, 1e-3, 1.0, 50.0):
+            for m in (1, 2, 3, 7, 80, 120):
+                diag = BachDiagnostic(lam=lam, truncation=m)
+                for xs in grids:
+                    assert bach_density_truncated(diag, xs).tobytes() \
+                        == special_cased_bach_density(diag, xs).tobytes()
+
+
 def test_bach_density_flat_at_large_lam():
     diag = BachDiagnostic(lam=1e4, truncation=80)
     vals = bach_density_truncated(diag, np.linspace(-2.0, 2.0, 201))
