@@ -3,8 +3,9 @@
 A config is a flat JSON object: top-level keys (experiment, replicates,
 seed, output_path) plus dotted keys for experiment parameters
 ("method.n", "reference.std", ...).  Unknown keys are rejected so typos
-fail loudly.  Every experiment writes results.csv with a fixed 11-column
-schema and summary.json with per-cell aggregates; adaptive runs
+fail loudly, and so does any value the run would reject: validation
+builds the run's plan.  Every experiment writes results.csv with a fixed
+11-column schema and summary.json with per-cell aggregates; adaptive runs
 additionally write trace_<replicate>.csv ladders.  The output bytes are a
 pure function of (config, seed); the wall_time_ms column is always 0.0.
 
@@ -18,8 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,7 @@ from .problems import (
     with_observations,
 )
 from .quadrature import (
+    dedupe,
     gaussian_inverse_cdf,
     halton_points,
     kq_estimate,
@@ -55,7 +58,6 @@ from .quadrature import (
 from .smc import (
     ADAPTIVE_GAUSSIAN,
     ADAPTIVE_LOGNORMAL,
-    RANDOM_WALK,
     BoxUniform,
     ProposalPolicy,
 )
@@ -76,8 +78,6 @@ RESULT_COLUMNS = [
     "experiment", "replicate", "method", "n", "estimate", "abs_error",
     "t_star", "total_f_evals", "nugget_used", "wall_time_ms", "seed",
 ]
-
-_PROPOSALS = (ADAPTIVE_GAUSSIAN, RANDOM_WALK, ADAPTIVE_LOGNORMAL)
 
 # method index (spawn key) of the first iid row of halton-compare
 _HALTON_IID_METHOD = 2 * 8
@@ -186,15 +186,11 @@ _BENCHMARK_KEYS = {
 }
 
 
-# counts, lengthscales, scales and step sizes: every number a key holds
-# must be finite and positive
+# counts, scales and step sizes no plan's constructor checks: each > 0
 _POSITIVE_KEYS = {
     "replicates", "method.n", "method.n_particles", "method.m_boot",
-    "method.sweeps", "method.delta", "method.rw_scale", "problem.d",
-    "problem.frequency", "kernel.lengthscale", "kernel.lengthscales",
-    "sweep.n", "reference.std", "sweep.sigmas", "halton.sigma", "bach.lam",
-    "bach.truncation", "grid.count", "sbq.lengthscales", "sbq.counts",
-    "ode.theta_true", "ode.noise_std", "ode.prior_scale", "ode.n_times",
+    "method.sweeps", "method.delta", "sweep.n", "sweep.sigmas",
+    "halton.sigma", "grid.count", "sbq.counts", "ode.n_times",
     "benchmark.chain_length", "benchmark.step_scale",
 }
 
@@ -216,12 +212,11 @@ def _check_type(key, value, default):
         if value is None:  # null leaves the key unset
             return
         default = default()
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"key {key!r} must be a boolean")
-    elif isinstance(default, (int, float)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r} must be a number")
+    if isinstance(default, (int, float)):
+        # json reads NaN, Infinity and -Infinity as floats
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key {key!r} must be a finite number")
         if isinstance(default, int) and isinstance(value, float) \
                 and not value.is_integer():
             raise ConfigError(f"key {key!r} must be an integer")
@@ -234,8 +229,8 @@ def _check_type(key, value, default):
         for element in value:
             _check_type(key, element, default[0])
         return
-    if key in _POSITIVE_KEYS and not 0 < value < math.inf:
-        raise ConfigError(f"key {key!r} must be finite and positive")
+    if key in _POSITIVE_KEYS and not value > 0:
+        raise ConfigError(f"key {key!r} must be positive")
     if key in ("seed", "ode.data_seed") and value < 0:
         raise ConfigError(f"key {key!r} must be >= 0")
 
@@ -243,8 +238,8 @@ def _check_type(key, value, default):
 def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig.
 
-    Benchmark mode validates the data/chain keys instead of an
-    experiment's key set.
+    Builds the run's plan after checking each key's type.  Benchmark mode
+    validates the data/chain keys instead of an experiment's key set.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -274,48 +269,7 @@ def validate_config(raw: dict, benchmark: bool = False) -> RunConfig:
     replicates = int(params.pop("replicates"))
     seed = int(params.pop("seed"))
     output_path = str(params.pop("output_path"))
-    if "method.proposal" in params and params["method.proposal"] not in _PROPOSALS:
-        raise ConfigError("key 'method.proposal' must be one of "
-                          + ", ".join(_PROPOSALS))
-    if "method.rho" in params and not 0 < params["method.rho"] < 1:
-        raise ConfigError("key 'method.rho' must lie in (0, 1)")
-    if "method.n" in params \
-            and params["method.n_particles"] < 2 * params["method.n"]:
-        raise ConfigError("key 'method.n_particles' must be at least "
-                          "2 * 'method.n'")
-    if "family.low" in params:
-        try:
-            gaussian_lengthscale_family(low=params["family.low"],
-                                        high=params["family.high"])
-        except ValueError as err:
-            raise ConfigError(f"keys 'family.low' and 'family.high': {err}"
-                              ) from None
-    if "bach.lam" in params:
-        try:
-            BachDiagnostic(lam=params["bach.lam"],
-                           truncation=params["bach.truncation"])
-        except ValueError as err:
-            raise ConfigError(f"keys 'bach.lam' and 'bach.truncation': {err}"
-                              ) from None
-    if "sbq.counts" in params:
-        if len(params["sbq.lengthscales"]) != len(params["sbq.counts"]):
-            raise ConfigError("keys 'sbq.lengthscales' and 'sbq.counts' must "
-                              "have equal length")
-        if max(params["sbq.counts"]) > params["grid.count"]:
-            raise ConfigError("key 'sbq.counts' may not exceed 'grid.count'")
-    if benchmark:
-        if len(params["ode.theta_true"]) != 4:
-            raise ConfigError("key 'ode.theta_true' must hold 4 numbers")
-        try:
-            check_burn_in(params["benchmark.chain_length"],
-                          params["benchmark.burn_in"])
-        except ValueError as err:
-            raise ConfigError(f"keys 'benchmark.chain_length' and "
-                              f"'benchmark.burn_in': {err}") from None
-    if not benchmark and experiment == "ode" \
-            and params.get("ode.benchmark_path") is None:
-        raise ConfigError("key 'ode.benchmark_path' is required; run the "
-                          "'benchmark' subcommand first")
+    (_benchmark_plan if benchmark else EXPERIMENTS[experiment][0])(params)
     return RunConfig(experiment=experiment, replicates=replicates, seed=seed,
                      output_path=output_path, params=params)
 
@@ -351,26 +305,134 @@ def rmse_aggregate(abs_errors) -> float:
 
 
 # ---------------------------------------------------------------------------
-# experiment building blocks
+# experiments: a plan maps the params to the objects the replicates use,
+# with no numerical work; a runner maps (cfg, replicate, *plan) to (rows,
+# files), where files maps an output file name to its (header, records)
 
 
-def _toy_pieces(params):
-    problem = ToyProblem(d=int(params["problem.d"]),
-                         frequency=float(params["problem.frequency"]))
-    ell = params.get("kernel.lengthscale")
+def _build(keys, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError a ConfigError naming keys."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"key{'s' * (len(keys) > 1)} "
+                          f"{' and '.join(map(repr, keys))}: {err}") from None
+
+
+def _toy_plan(p):
+    """(problem, kernel) of the toy keys."""
+    problem = _build(("problem.d", "problem.frequency"), ToyProblem,
+                     d=int(p["problem.d"]),
+                     frequency=float(p["problem.frequency"]))
+    ell = p["kernel.lengthscale"]
     ell = default_toy_lengthscale(problem) if ell is None else float(ell)
-    return problem, GaussianKernel(np.full(problem.d, ell))
+    return problem, _build(("kernel.lengthscale",), GaussianKernel,
+                           np.full(problem.d, ell))
 
 
 def _ladder_kwargs(p):
     """smc_kq / smc_kq_kl keyword arguments from the method.* keys."""
+    if not 0 < p["method.rho"] < 1:
+        raise ConfigError("key 'method.rho' must lie in (0, 1)")
+    if p["method.n_particles"] < 2 * p["method.n"]:
+        raise ConfigError("key 'method.n_particles' must be at least "
+                          "2 * 'method.n'")
+    proposal = _build(("method.proposal", "method.rw_scale"), ProposalPolicy,
+                      kind=p["method.proposal"],
+                      rw_scale=float(p["method.rw_scale"]))
     return dict(n=int(p["method.n"]),
                 n_particles=int(p["method.n_particles"]),
                 rho=float(p["method.rho"]), delta=float(p["method.delta"]),
-                m_boot=int(p["method.m_boot"]),
-                proposal=ProposalPolicy(kind=p["method.proposal"],
-                                        rw_scale=float(p["method.rw_scale"])),
+                m_boot=int(p["method.m_boot"]), proposal=proposal,
                 sweeps=int(p["method.sweeps"]))
+
+
+def _toy_ladder_plan(p):
+    """(problem, kernel or toy-smckq-kl's family, reference, ladder kwargs)."""
+    problem, kernel = _toy_plan(p)
+    if "family.low" in p:
+        kernel = _build(("family.low", "family.high"),
+                        gaussian_lengthscale_family, problem.d,
+                        low=float(p["family.low"]),
+                        high=float(p["family.high"]))
+    reference = _build(("reference.std",), GaussianMeasure,
+                       np.zeros(problem.d),
+                       np.full(problem.d, float(p["reference.std"])))
+    return problem, kernel, reference, _ladder_kwargs(p)
+
+
+def _ode_plan(p):
+    """(problem, reference value, Stein kernel, box, ladder kwargs)."""
+    path = p["ode.benchmark_path"]
+    if path is None:
+        raise ConfigError("key 'ode.benchmark_path' is required; run the "
+                          "'benchmark' subcommand first")
+    try:
+        blob = json.loads(Path(path).read_text())
+        prob = blob["problem"]
+        problem = ODEProblem(**{field: prob[field] for field in (
+            "theta_true", "noise_std", "times", "horizon", "prior_scale",
+            "observations")})
+        box = BoxUniform(np.zeros(4), prob["box_upper"])
+        truth = float(blob["benchmark"]["value"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load benchmark file {path}: {exc}") from exc
+    base = _build(("kernel.lengthscales",), GaussianKernel,
+                  p["kernel.lengthscales"])
+    if base.d != box.d:
+        raise ConfigError(f"key 'kernel.lengthscales' must hold {box.d} "
+                          "numbers, one per ODE parameter")
+    kernel = SteinKernel(base=base, score=lambda X: ode_score(problem, X))
+    return problem, truth, kernel, box, _ladder_kwargs(p)
+
+
+def _halton_plan(p):
+    """(problem, kernel, Halton points whose first n rows serve each n)."""
+    problem, kernel = _toy_plan(p)
+    return problem, kernel, _build(("problem.d", "sweep.n"), halton_points,
+                                   int(max(p["sweep.n"])), problem.d)
+
+
+def _grid(p) -> np.ndarray:
+    """The grid.count points from grid.low to grid.high."""
+    if not p["grid.low"] < p["grid.high"]:
+        raise ConfigError("key 'grid.low' must be below 'grid.high'")
+    return np.linspace(float(p["grid.low"]), float(p["grid.high"]),
+                       int(p["grid.count"]))
+
+
+def _sbq_plan(p):
+    """(grid, one kernel per sbq.lengthscales entry)."""
+    if len(p["sbq.lengthscales"]) != len(p["sbq.counts"]):
+        raise ConfigError("keys 'sbq.lengthscales' and 'sbq.counts' must "
+                          "have equal length")
+    grid = _grid(p)[:, None]
+    distinct = dedupe(grid).shape[0]
+    if max(p["sbq.counts"]) > distinct:
+        raise ConfigError(f"key 'sbq.counts' may not exceed the {distinct} "
+                          "distinct points of the grid")
+    return grid, [_build(("sbq.lengthscales",), GaussianKernel, [ell])
+                  for ell in p["sbq.lengthscales"]]
+
+
+def _bach_plan(p):
+    """(diagnostic, grid)."""
+    return _build(("bach.lam", "bach.truncation"), BachDiagnostic,
+                  lam=float(p["bach.lam"]),
+                  truncation=int(p["bach.truncation"])), _grid(p)
+
+
+def _benchmark_plan(p) -> ODEProblem:
+    """The benchmark subcommand's problem, before any data."""
+    _build(("benchmark.chain_length", "benchmark.burn_in"), check_burn_in,
+           p["benchmark.chain_length"], p["benchmark.burn_in"])
+    return _build(
+        ("ode.theta_true", "ode.noise_std", "ode.prior_scale"), ODEProblem,
+        theta_true=np.asarray(p["ode.theta_true"], dtype=float),
+        noise_std=float(p["ode.noise_std"]),
+        times=np.linspace(0.0, float(p["ode.t_max"]), int(p["ode.n_times"])),
+        horizon=float(p["ode.horizon"]),
+        prior_scale=float(p["ode.prior_scale"]))
 
 
 def _report_row(cfg: RunConfig, r: int, method: str, report, truth: float,
@@ -383,10 +445,10 @@ def _report_row(cfg: RunConfig, r: int, method: str, report, truth: float,
 
 
 def _rule_row(cfg: RunConfig, r: int, method: str, seed: int, problem,
-              kernel, pts: np.ndarray, f_vals: np.ndarray) -> ResultRow:
-    """The row of the toy's KQ rule on nodes pts, with f_vals = f(pts)."""
+              kernel, pts: np.ndarray) -> ResultRow:
+    """The row of the toy's KQ rule on nodes pts."""
     rule = kq_fit(kernel, problem.target(), pts)
-    est = kq_estimate(rule, f_vals)
+    est = kq_estimate(rule, toy_integrand(problem, pts))
     n = pts.shape[0]
     return ResultRow(cfg.experiment, r, method, n, est,
                      abs(est - problem.true_value), None, n,
@@ -400,192 +462,138 @@ def _trace_file(r: int, trace):
                                 for e in trace.entries])}
 
 
-def _toy_kq_row(cfg: RunConfig, method: str, method_idx: int, r: int,
-                n: int, sigma: float) -> ResultRow:
-    problem, kernel = _toy_pieces(cfg.params)
+def _toy_kq_row(cfg: RunConfig, r: int, method: str, method_idx: int,
+                problem, kernel, n: int, sigma: float) -> ResultRow:
     seed = replicate_seed(cfg.seed, method_idx, r)
     rng = np.random.default_rng(seed)
     pts = sigma * rng.standard_normal((n, problem.d))
-    return _rule_row(cfg, r, method, seed, problem, kernel, pts,
-                     toy_integrand(problem, pts))
+    return _rule_row(cfg, r, method, seed, problem, kernel, pts)
 
 
-def _run_toy_sweep(cfg: RunConfig, r: int):
-    rows = []
+def _run_toy_sweep(cfg: RunConfig, r: int, problem, kernel):
     sigmas = [float(s) for s in cfg.params["sweep.sigmas"]]
     ns = [int(n) for n in cfg.params["sweep.n"]]
-    for ci, sigma in enumerate(sigmas):
-        for ni, n in enumerate(ns):
-            method = f"kq(sigma={sigma:g})"
-            rows.append(_toy_kq_row(cfg, method, ci * len(ns) + ni, r, n,
-                                    sigma))
-    return rows, {}
+    return [_toy_kq_row(cfg, r, f"kq(sigma={sigma:g})", ci * len(ns) + ni,
+                        problem, kernel, n, sigma)
+            for ci, sigma in enumerate(sigmas)
+            for ni, n in enumerate(ns)], {}
 
 
-def _run_toy_smckq(cfg: RunConfig, r: int):
-    problem, kernel = _toy_pieces(cfg.params)
+def _run_toy_smckq(cfg: RunConfig, r: int, problem, kernel, reference,
+                   ladder):
     measure = problem.target()
-    p = cfg.params
-    n = int(p["method.n"])
-    reference = GaussianMeasure(np.zeros(problem.d),
-                                np.full(problem.d, float(p["reference.std"])))
     seed = replicate_seed(cfg.seed, 0, r)
     report = smc_kq(
         lambda X: toy_integrand(problem, X), measure.log_density, kernel,
-        reference, measure=measure, seed=seed, **_ladder_kwargs(p))
+        reference, measure=measure, seed=seed, **ladder)
     rows = [_report_row(cfg, r, "smc-kq", report, problem.true_value, seed),
-            _toy_kq_row(cfg, "kq", 1, r, n, 1.0)]
+            _toy_kq_row(cfg, r, "kq", 1, problem, kernel, ladder["n"], 1.0)]
     return rows, _trace_file(r, report.trace)
 
 
-def _run_toy_smckq_kl(cfg: RunConfig, r: int):
-    problem, _ = _toy_pieces(cfg.params)
+def _run_toy_smckq_kl(cfg: RunConfig, r: int, problem, family, reference,
+                      ladder):
     measure = problem.target()
-    p = cfg.params
-    n = int(p["method.n"])
-    family = gaussian_lengthscale_family(problem.d,
-                                         low=float(p["family.low"]),
-                                         high=float(p["family.high"]))
-    reference = GaussianMeasure(np.zeros(problem.d),
-                                np.full(problem.d, float(p["reference.std"])))
     seed = replicate_seed(cfg.seed, 0, r)
     report = smc_kq_kl(
         lambda X: toy_integrand(problem, X), measure.log_density, family,
-        reference, measure=measure, seed=seed, **_ladder_kwargs(p))
+        reference, measure=measure, seed=seed, **ladder)
 
     # baseline: method.n fresh target draws, lengthscale fitted on them;
     # smc-kq-kl spends many more integrand evaluations than these n
     seed_b = replicate_seed(cfg.seed, 1, r)
-    pts = np.random.default_rng(seed_b).standard_normal((n, problem.d))
+    pts = np.random.default_rng(seed_b).standard_normal(
+        (ladder["n"], problem.d))
     f_vals = toy_integrand(problem, pts)
     kernel_hat = family.build(kern_param_fit(f_vals, pts, family))
     rows = [_report_row(cfg, r, "smc-kq-kl", report, problem.true_value,
                         seed),
-            _rule_row(cfg, r, "kq-kl", seed_b, problem, kernel_hat, pts,
-                      f_vals)]
+            _rule_row(cfg, r, "kq-kl", seed_b, problem, kernel_hat, pts)]
     return rows, _trace_file(r, report.trace)
 
 
-def _load_benchmark(path):
-    try:
-        blob = json.loads(Path(path).read_text())
-        prob = blob["problem"]
-        problem = ODEProblem(
-            theta_true=np.asarray(prob["theta_true"], dtype=float),
-            noise_std=float(prob["noise_std"]),
-            times=np.asarray(prob["times"], dtype=float),
-            horizon=float(prob["horizon"]),
-            prior_scale=float(prob["prior_scale"]),
-            observations=np.asarray(prob["observations"], dtype=float),
-        )
-        box = (np.zeros(4), np.asarray(prob["box_upper"], dtype=float))
-        truth = float(blob["benchmark"]["value"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot load benchmark file {path}: {exc}") from exc
-    return problem, box, truth
-
-
-def _run_ode(cfg: RunConfig, r: int):
-    p = cfg.params
-    problem, (lo, hi), truth = _load_benchmark(p["ode.benchmark_path"])
-    kernel = SteinKernel(
-        base=GaussianKernel(np.asarray(p["kernel.lengthscales"], dtype=float)),
-        score=lambda X: ode_score(problem, X))
-    reference = BoxUniform(lo, hi)
+def _run_ode(cfg: RunConfig, r: int, problem, truth, kernel, box, ladder):
     rows, files = [], {}
     for mi, (method, early) in enumerate([("smc-kq", True), ("kq", False)]):
         seed = replicate_seed(cfg.seed, mi, r)
         report = smc_kq(
             lambda X: ode_predictive(problem, X),
-            lambda X: ode_log_posterior(problem, X), kernel, reference,
-            measure=None, support=(lo, hi), terminate_early=early, seed=seed,
-            **_ladder_kwargs(p))
+            lambda X: ode_log_posterior(problem, X), kernel, box,
+            measure=None, support=(box.lower, box.upper),
+            terminate_early=early, seed=seed, **ladder)
         rows.append(_report_row(cfg, r, method, report, truth, seed))
         if early:
             files = _trace_file(r, report.trace)
     return rows, files
 
 
-def _run_halton_compare(cfg: RunConfig, r: int):
-    problem, kernel = _toy_pieces(cfg.params)
-    p = cfg.params
-    sigma_h = float(p["halton.sigma"])
+def _run_halton_compare(cfg: RunConfig, r: int, problem, kernel, halton):
+    sigma_h = float(cfg.params["halton.sigma"])
     rows = []
-    for ni, n in enumerate(int(v) for v in p["sweep.n"]):
+    for ni, n in enumerate(int(v) for v in cfg.params["sweep.n"]):
         if r == 0:  # Halton rules are deterministic: one replicate each
             for scale in (1.0, sigma_h):
-                pts = scale * gaussian_inverse_cdf(halton_points(n, problem.d))
-                rows.append(_rule_row(
-                    cfg, 0, f"kq-halton(sigma={scale:g})", cfg.seed, problem,
-                    kernel, pts, toy_integrand(problem, pts)))
-        rows.append(_toy_kq_row(cfg, "kq-iid(sigma=1)",
-                                _HALTON_IID_METHOD + ni, r, n, 1.0))
+                pts = scale * gaussian_inverse_cdf(halton[:n])
+                rows.append(_rule_row(cfg, 0, f"kq-halton(sigma={scale:g})",
+                                      cfg.seed, problem, kernel, pts))
+        rows.append(_toy_kq_row(cfg, r, "kq-iid(sigma=1)",
+                                _HALTON_IID_METHOD + ni, problem, kernel, n,
+                                1.0))
     return rows, {}
 
 
-def _run_sbq_demo(cfg: RunConfig, r: int):
+def _run_sbq_demo(cfg: RunConfig, r: int, grid, kernels):
     if r > 0:  # fully deterministic
         return [], {}
-    p = cfg.params
     problem = ToyProblem(d=1)
-    measure = problem.target()
-    grid = np.linspace(float(p["grid.low"]), float(p["grid.high"]),
-                       int(p["grid.count"]))[:, None]
     seed_index = int(np.argmin(np.abs(grid[:, 0])))
     rows = []
     points = []
-    lens = [float(v) for v in p["sbq.lengthscales"]]
-    counts = [int(v) for v in p["sbq.counts"]]
-    for ell, count in zip(lens, counts):
-        kernel = GaussianKernel(np.asarray([ell]))
-        idx = sbq_greedy_select(kernel, measure, grid, count, seed_index)
+    for kernel, count in zip(kernels, cfg.params["sbq.counts"]):
+        ell = float(kernel.lengthscales[0])
+        idx = sbq_greedy_select(kernel, problem.target(), grid, int(count),
+                                seed_index)
         sel = grid[idx]
         rows.append(_rule_row(cfg, 0, f"sbq(l={ell:g})", cfg.seed, problem,
-                              kernel, sel, toy_integrand(problem, sel)))
-        for order, x in enumerate(sel[:, 0]):
-            points.append((ell, order, float(x)))
+                              kernel, sel))
+        points.extend((ell, order, float(x))
+                      for order, x in enumerate(sel[:, 0]))
     return rows, {"sbq_points.csv": (["lengthscale", "order", "x"], points)}
 
 
-def _run_bach(cfg: RunConfig, r: int):
+def _run_bach(cfg: RunConfig, r: int, diag, xs):
     if r > 0:
         return [], {}
-    p = cfg.params
-    diag = BachDiagnostic(lam=float(p["bach.lam"]),
-                          truncation=int(p["bach.truncation"]))
-    xs = np.linspace(float(p["grid.low"]), float(p["grid.high"]),
-                     int(p["grid.count"]))
     dens = bach_density_truncated(diag, xs)
     return [], {"density.csv": (["x", "density"],
                                 list(zip(xs.tolist(), dens.tolist())))}
 
 
-# each runner maps (cfg, replicate) to (rows, files), where files maps an
-# output file name to its (header, records)
 EXPERIMENTS = {
-    "toy-sweep": _run_toy_sweep,
-    "toy-smckq": _run_toy_smckq,
-    "toy-smckq-kl": _run_toy_smckq_kl,
-    "ode": _run_ode,
-    "halton-compare": _run_halton_compare,
-    "sbq-demo": _run_sbq_demo,
-    "bach-diagnostic": _run_bach,
+    "toy-sweep": (_toy_plan, _run_toy_sweep),
+    "toy-smckq": (_toy_ladder_plan, _run_toy_smckq),
+    "toy-smckq-kl": (_toy_ladder_plan, _run_toy_smckq_kl),
+    "ode": (_ode_plan, _run_ode),
+    "halton-compare": (_halton_plan, _run_halton_compare),
+    "sbq-demo": (_sbq_plan, _run_sbq_demo),
+    "bach-diagnostic": (_bach_plan, _run_bach),
 }
 
 
 def _replicate_task(args):
     """(rows, files, warnings, error) of one replicate.
 
+    The plan is rebuilt from cfg.params, so only cfg crosses to a worker.
     The warnings the active filters let through are held, as (message,
     category, filename, lineno), so that run can emit those of every
-    replicate in replicate order, whichever process ran it; error is the
-    exception the replicate raised, or None.
+    replicate in replicate order; error is what the replicate raised.
     """
     cfg, r = args
+    plan, runner = EXPERIMENTS[cfg.experiment]
     rows, files, error = [], {}, None
     with warnings.catch_warnings(record=True) as held:
         try:
-            rows, files = EXPERIMENTS[cfg.experiment](cfg, r)
+            rows, files = runner(cfg, r, *plan(cfg.params))
         except Exception as exc:
             error = exc
     return rows, files, [(w.message, w.category, w.filename, w.lineno)
@@ -634,7 +642,8 @@ def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
     Returns the output directory.  Replicates can be distributed over
     processes; results are merged in replicate order so the output is
     independent of scheduling.  A replicate's exception is raised again
-    after the warnings of the replicates up to and including it.
+    after the warnings of the replicates up to and including it.  Trace
+    files of replicates this run did not make are removed.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -671,22 +680,18 @@ def run(cfg: RunConfig, out_dir=None, threads: int = 1) -> Path:
     _write_summary(out / "summary.json", cfg, rows)
     for name, (header, records) in files.items():
         _write_csv(out / name, header, records)
+    for stale in out.glob("trace_*.csv"):
+        if stale.name not in files \
+                and re.fullmatch(r"trace_(0|[1-9][0-9]*)\.csv", stale.name):
+            stale.unlink()
     return out
 
 
 def run_benchmark(cfg: RunConfig, out_dir=None) -> Path:
     """Generate ODE data and a long-chain benchmark file."""
     p = cfg.params
-    problem = ODEProblem(
-        theta_true=np.asarray(p["ode.theta_true"], dtype=float),
-        noise_std=float(p["ode.noise_std"]),
-        times=np.linspace(0.0, float(p["ode.t_max"]),
-                          int(p["ode.n_times"])),
-        horizon=float(p["ode.horizon"]),
-        prior_scale=float(p["ode.prior_scale"]),
-    )
     data_rng = np.random.default_rng(int(p["ode.data_seed"]))
-    problem = with_observations(problem, data_rng)
+    problem = with_observations(_benchmark_plan(p), data_rng)
     chain_rng = np.random.default_rng(cfg.seed)
     result = posterior_benchmark(problem, int(p["benchmark.chain_length"]),
                                  int(p["benchmark.burn_in"]), chain_rng,
@@ -704,14 +709,7 @@ def run_benchmark(cfg: RunConfig, out_dir=None) -> Path:
             "box_upper": [10.0, 10.0, 10.0, 10.0],
             "data_seed": int(p["ode.data_seed"]),
         },
-        "benchmark": {
-            "value": result.value,
-            "std_error": result.std_error,
-            "acceptance_rate": result.acceptance_rate,
-            "chain_length": result.chain_length,
-            "burn_in": result.burn_in,
-            "chain_seed": cfg.seed,
-        },
+        "benchmark": {**asdict(result), "chain_seed": cfg.seed},
     }
     (out / "benchmark.json").write_text(
         json.dumps(blob, indent=2, sort_keys=True) + "\n")

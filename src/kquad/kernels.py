@@ -8,6 +8,13 @@ form.  The Stein kernel is built from a Gaussian base kernel and the score of
 an (unnormalised) target density; by construction its mean embedding is
 identically 1, so quadrature against it needs no normalising constant.
 Each kernel computes its own embeddings (``embedding``, ``double_integral``).
+
+A Gaussian kernel value whose scaled squared distance
+``S = sum_j ((x_j - y_j) / ell_j)^2`` exceeds 345 is stored as exactly 0, in
+``gram`` and ``__call__`` alike.  Such a value is below ``e^-345`` (about
+1.4e-150), far under the rounding unit of any sum that also holds an O(1)
+term, while computing it costs time: numpy's ``exp`` and LAPACK both slow
+down sharply on values that underflow to subnormals.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ import numpy as np
 __all__ = ["GaussianKernel", "GaussianMeasure", "SteinKernel"]
 
 _SQRT_PI = np.sqrt(np.pi)
+
+# scaled squared distance beyond which a Gaussian kernel value is 0
+_FAR = 345.0
 
 
 def _as_vector(x, d, name):
@@ -65,7 +75,8 @@ class GaussianKernel:
     def __call__(self, x, y) -> float:
         x = _as_vector(x, self.d, "x")
         y = _as_vector(y, self.d, "y")
-        return float(np.exp(-np.sum(((x - y) / self.lengthscales) ** 2)))
+        s = np.sum(((x - y) / self.lengthscales) ** 2)
+        return 0.0 if s > _FAR else float(np.exp(-s))
 
     def gram(self, X, Y=None) -> np.ndarray:
         """Pairwise kernel matrix, shape (n, m).
@@ -77,7 +88,8 @@ class GaussianKernel:
         x_k - x_i, so gram(X, X) is exactly symmetric in floating point.
         For d <= 7 the left-to-right sum has the bits of numpy's last-axis
         sum; from d = 8 numpy sums pairwise, so entries may differ from
-        that order by a few units in the last place of 1.
+        that order by a few units in the last place of 1.  Entries with
+        a sum above _FAR are 0; one min pass finds whether there are any.
         """
         X = _as_batch(X, self.d)
         Y = X if Y is None else _as_batch(Y, self.d)
@@ -91,7 +103,14 @@ class GaussianKernel:
             else:
                 S += D
         np.negative(S, out=S)
-        return np.exp(S, out=S)
+        if S.min(initial=0.0) >= -_FAR:
+            return np.exp(S, out=S)
+        keep = S >= -_FAR
+        # e^(-2 * _FAR) is a normal float, on np.exp's vector path
+        np.maximum(S, -2.0 * _FAR, out=S)
+        np.exp(S, out=S)
+        S *= keep
+        return S
 
     def embedding(self, measure: GaussianMeasure, X) -> np.ndarray:
         """Mean embedding int k(u, x) dPi(u) at each row of X, shape (n,).

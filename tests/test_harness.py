@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from kquad.harness import (
+    _BENCHMARK_KEYS,
+    _COMMON_KEYS,
+    _EXPERIMENT_KEYS,
     RESULT_COLUMNS,
     ConfigError,
     load_config,
@@ -131,11 +134,16 @@ def test_list_elements_ranges_and_particle_budget_are_checked(experiment, key,
     (None, "ode.data_seed", -1),
     ("sbq-demo", "sbq.counts", [500, 5]),
     ("sbq-demo", "sbq.counts", [30]),
+    ("halton-compare", "problem.d", 9),
+    ("toy-sweep", "problem.d", 0),
+    ("bach-diagnostic", "grid.low", 4.0),
+    ("sbq-demo", "grid.high", -4.0),
 ])
 def test_scale_and_schedule_keys_are_checked(experiment, key, value):
     # each used to pass validation and fail inside the run (exit 3), or,
-    # for a negative step_scale, to run a chain that barely moves; None is
-    # the benchmark subcommand's key set
+    # for a negative step_scale, to run a chain that barely moves, or, for
+    # a one-point or reversed bach-diagnostic grid, to write its density on
+    # it; None is the benchmark subcommand's key set
     raw = {key: value}
     if experiment is not None:
         raw["experiment"] = experiment
@@ -148,6 +156,55 @@ def test_family_bounds_are_checked(low, high):
     with pytest.raises(ConfigError, match="'family.low' and 'family.high'"):
         validate_config({"experiment": "toy-smckq-kl", "family.low": low,
                          "family.high": high})
+
+
+def numeric_keys():
+    """(experiment, key, holds a list) of each numeric key.
+
+    None is the benchmark subcommand's key set.
+    """
+    key_sets = [(name, {**_COMMON_KEYS, **keys})
+                for name, keys in _EXPERIMENT_KEYS.items()]
+    key_sets.append((None, {**_COMMON_KEYS, **_BENCHMARK_KEYS}))
+    for experiment, known in key_sets:
+        for key, default in known.items():
+            sample = default[0] if isinstance(default, list) else default
+            if sample is float or isinstance(sample, (int, float)):
+                yield experiment, key, isinstance(default, list)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("experiment, key, in_list", list(numeric_keys()),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_non_finite_numbers_are_config_errors(tmp_path, experiment, key,
+                                              in_list, bad):
+    # json reads NaN, Infinity and -Infinity; some used to reach the run,
+    # such as a NaN grid.low, which wrote a density.csv of nan rows
+    raw = {key: [bad] if in_list else bad}
+    if experiment is not None:
+        raw["experiment"] = experiment
+    path = write_config(tmp_path, "cfg.json", raw)
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        load_config(path, benchmark=experiment is None)
+
+
+def test_sbq_counts_need_as_many_distinct_grid_points():
+    # 401 grid points between 1 and the next double hold 2 distinct values
+    with pytest.raises(ConfigError, match="sbq.counts.*2 distinct points"):
+        validate_config({"experiment": "sbq-demo", "grid.low": 1.0,
+                         "grid.high": 1.0000000000000002,
+                         "sbq.counts": [3, 2]})
+
+
+def test_ode_kernel_needs_one_lengthscale_per_parameter(tmp_path):
+    # used to exit 3: the 1-d base kernel met 4-d particles in the run
+    bench = run_benchmark(validate_config({"benchmark.chain_length": 300,
+                                           "benchmark.burn_in": 100},
+                                          benchmark=True), tmp_path / "b")
+    with pytest.raises(ConfigError, match="kernel.lengthscales"):
+        validate_config({"experiment": "ode", "kernel.lengthscales": [8.0],
+                         "ode.benchmark_path": str(bench / "benchmark.json")})
 
 
 def test_null_keeps_a_key_without_a_default_value_unset():
@@ -349,6 +406,20 @@ def test_toy_smckq_writes_traces(tmp_path):
         assert all(float(r[1]) > 0 for r in t_rows)
 
 
+def test_rerun_with_fewer_replicates_removes_stale_traces(tmp_path):
+    # a rerun into the same directory used to keep trace_1.csv and
+    # trace_2.csv beside a summary.json that says 1 replicate
+    out = tmp_path / "out"
+    run(smckq_config(out, replicates=3))
+    (out / "trace_notes.csv").write_text("not the harness's\n")
+    run(smckq_config(out, replicates=1))
+    fresh = run(smckq_config(tmp_path / "fresh", replicates=1))
+    assert sorted(p.name for p in out.iterdir()) == [
+        "results.csv", "summary.json", "trace_0.csv", "trace_notes.csv"]
+    for name in ("results.csv", "summary.json", "trace_0.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_toy_smckq_kl_runs(tmp_path):
     out = run(smckq_config(tmp_path / "a", experiment="toy-smckq-kl",
                            replicates=1))
@@ -442,11 +513,11 @@ def test_ode_end_to_end(tmp_path):
 def test_ode_bad_benchmark_file(tmp_path):
     bad = tmp_path / "bench.json"
     bad.write_text("{}")
-    cfg = validate_config({"experiment": "ode",
-                           "ode.benchmark_path": str(bad),
-                           "output_path": str(tmp_path / "out")})
+    # validation builds the run's plan, which loads the benchmark file
     with pytest.raises(ConfigError, match="benchmark"):
-        run(cfg)
+        validate_config({"experiment": "ode",
+                         "ode.benchmark_path": str(bad),
+                         "output_path": str(tmp_path / "out")})
 
 
 # --- command line ---
@@ -579,6 +650,27 @@ def test_cli_values_the_run_rejects_are_config_errors(tmp_path, command,
                     *extra], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and key in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blob", [
+    {"experiment": "halton-compare", "problem.d": 9},
+    {"experiment": "sbq-demo", "grid.low": 1.0, "grid.high": 1.0,
+     "sbq.counts": [3, 2]},
+    {"experiment": "bach-diagnostic", "grid.low": 4.0, "grid.high": -4.0},
+    {"experiment": "bach-diagnostic", "grid.low": float("nan")},
+    {"experiment": "sbq-demo", "grid.low": float("nan")},
+], ids=["halton-d9", "sbq-one-point-grid", "bach-reversed-grid",
+        "bach-nan-grid", "sbq-nan-grid"])
+def test_cli_configs_the_run_would_reject_exit_2(tmp_path, blob):
+    # each used to exit 3 from inside the run (halton, sbq) or exit 0 with
+    # a reversed or nan density grid (bach)
+    cfg = write_config(tmp_path, "cfg.json", blob)
+    proc = run_cli(["run", str(cfg), "--out", str(tmp_path / "out")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert not (tmp_path / "out").exists()
 
 

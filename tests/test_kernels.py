@@ -76,19 +76,32 @@ def test_gram_positive_semidefinite():
 def test_gram_cross_matrix_shape():
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(5, 2)), rng.normal(size=(7, 2))
+    # a far pair, at scaled squared distance 225 + 225 > 345 (its value
+    # e^-450 is a normal float, but cut to 0), and a pair inside the cut
+    Y[6] = X[4] + 15.0
+    Y[5] = X[0] + [np.sqrt(300.0), 0.0]
     K = GaussianKernel([1.0, 1.0]).gram(X, Y)
     assert K.shape == (5, 7)
     for i in (0, 4):
-        for j in (0, 6):
+        for j in (0, 5, 6):
             assert K[i, j] == pytest.approx(GaussianKernel([1.0, 1.0])(X[i], Y[j]), rel=1e-14)
+    assert K[4, 6] == 0.0 == GaussianKernel([1.0, 1.0])(X[4], Y[6])
+    assert 0.0 < K[0, 5] == pytest.approx(np.exp(-300.0), rel=1e-12)
+
+
+def broadcast_sq_dist(kernel, X, Y=None):
+    # the scaled squared distances of the (n, m, d) broadcast assembly
+    # GaussianKernel.gram used before it summed coordinate by coordinate
+    Y = X if Y is None else Y
+    diff = (X[:, None, :] - Y[None, :, :]) / kernel.lengthscales
+    return np.sum(diff * diff, axis=-1)
 
 
 def broadcast_gaussian_gram(kernel, X, Y=None):
-    # the (n, m, d) broadcast assembly GaussianKernel.gram used before it
-    # summed coordinate by coordinate; kept as the oracle
-    Y = X if Y is None else Y
-    diff = (X[:, None, :] - Y[None, :, :]) / kernel.lengthscales
-    return np.exp(-np.sum(diff * diff, axis=-1))
+    # the broadcast assembly, kept as the oracle, with the kernel's cut: an
+    # entry whose scaled squared distance exceeds 345 is exactly 0
+    S = broadcast_sq_dist(kernel, X, Y)
+    return np.where(S > 345.0, 0.0, np.exp(-S))
 
 
 def gram_oracle_case(d, seed):
@@ -110,6 +123,15 @@ def test_gaussian_gram_matches_broadcast_oracle_bitwise(d):
     KXY = kern.gram(X, Y)
     assert KXY.shape == (40, 23)
     assert KXY.tobytes() == broadcast_gaussian_gram(kern, X, Y).tobytes()
+    # the cut keeps the bits of every other entry of the uncut oracle, and
+    # the entries it zeroes (there are some at d = 4 and 6) were at most
+    # e^-345 there
+    for G, S in ((K, broadcast_sq_dist(kern, X)),
+                 (KXY, broadcast_sq_dist(kern, X, Y))):
+        uncut, far = np.exp(-S), S > 345.0
+        assert G[~far].tobytes() == uncut[~far].tobytes()
+        assert np.all(G[far] == 0.0)
+        assert np.all(uncut[far] <= np.exp(-345.0))
 
 
 @pytest.mark.parametrize("d", [8, 12, 16])
